@@ -12,7 +12,7 @@
 use crate::args::Args;
 use crate::commands::{load_context, with_limits, DEFAULT_STORE_DIR, EXIT_DEGRADED, EXIT_OK};
 use secreta_core::distributed::{run_distributed, worker_loop, DistOptions};
-use secreta_core::store::{read_events_checked, JournalEvent, RunStore};
+use secreta_core::store::{read_events_checked, unfinished_sweeps, RunStore};
 use secreta_core::{context_digest, Configuration, Orchestrated, Orchestrator, SessionContext};
 use serde::Value;
 use std::time::{Duration, Instant};
@@ -150,20 +150,13 @@ fn discover_sweep(
     let path = store.journal_path();
     let deadline = Instant::now() + Duration::from_millis(opts.worker_wait_ms);
     loop {
-        if path.exists() {
-            // concurrent appenders make a torn final line normal here
-            let (events, _torn) = read_events_checked(&path).map_err(|e| e.to_string())?;
-            let mut open: Vec<&str> = Vec::new();
-            for e in &events {
-                match e {
-                    JournalEvent::SweepStarted(rec) if rec.context == digest => open.push(&rec.id),
-                    JournalEvent::SweepFinished { sweep, .. } => open.retain(|id| id != sweep),
-                    _ => {}
-                }
-            }
-            if let Some(id) = open.last() {
-                return Ok((*id).to_owned());
-            }
+        // concurrent appenders make a torn final line normal here
+        let (events, _torn) = read_events_checked(&path).map_err(|e| e.to_string())?;
+        if let Some(rec) = unfinished_sweeps(&events)
+            .into_iter()
+            .rfind(|rec| rec.context == digest)
+        {
+            return Ok(rec.id);
         }
         if Instant::now() >= deadline {
             return Err(format!(

@@ -5,22 +5,22 @@
 //! module fans the *same* expansion over independent worker processes
 //! that share nothing but the store directory. The split:
 //!
-//! * **Coordinator** ([`run_distributed`]) — holds the store lock,
-//!   journals the sweep intent, serves cache hits, publishes one
-//!   claimable [`JobRecord`] per miss, optionally spawns local worker
-//!   processes, then waits for the store to fill in. Results are merged
+//! * **Coordinator** ([`run_distributed`]) — the orchestrator's sweep
+//!   driver (store lock, intent, cache hits, summary) with a lease
+//!   executor: it publishes one claimable [`JobRecord`] per miss,
+//!   optionally spawns local worker processes, then waits for the
+//!   store to fill in. Results are merged
 //!   in deterministic expansion order, so the output is byte-identical
 //!   to a single-process run no matter which worker executed what — or
 //!   how many of them crashed along the way.
 //! * **Worker** ([`worker_loop`]) — discovers the sweep in the journal,
 //!   validates its session against the recorded context digest, then
 //!   repeatedly claims pending jobs through crash-safe lease files
-//!   ([`secreta_store::lease`]), executes them via
-//!   [`run_isolated`](crate::anonymizer::run_isolated), and publishes
-//!   through the lease-fenced [`RunStore::put_fenced`]. A worker that
-//!   dies mid-job (even `kill -9`) leaves a lease that goes stale after
-//!   its TTL and is reclaimed — with an epoch bump that fences off the
-//!   dead worker's late writes — by any surviving worker.
+//!   ([`secreta_store::lease`]), executes them via [`run_isolated`],
+//!   and publishes through the lease-fenced [`RunStore::put_fenced`]. A
+//!   worker that dies mid-job (even `kill -9`) leaves a lease that goes
+//!   stale after its TTL and is reclaimed — with an epoch bump that
+//!   fences off the dead worker's late writes — by any surviving worker.
 //!
 //! **Failure model.** Every result commit is a tmp+rename; every lease
 //! transition is a hard-link (fresh claim) or rename (reclaim) with a
@@ -33,27 +33,28 @@
 //! as [`RunError::Lost`], and the sweep reports failures — `secreta
 //! runs resume` then re-executes exactly the lost tail.
 
-use crate::anonymizer::{run_isolated, RunError, RunResult};
-use crate::comparison::{ComparisonResult, Configuration};
+use crate::anonymizer::{run_isolated, RunError};
+use crate::comparison::Configuration;
 use crate::config::MethodSpec;
 use crate::context::SessionContext;
 use crate::orchestrator::{
-    context_digest, expand_jobs, manifest_of, replay, sweep_id_of, sweep_record_of, CacheStats,
-    Orchestrated,
+    cached, context_digest, drive, journal_outcome, manifest_of, Orchestrated, Outcomes, Plan,
 };
-use crate::sweep::{SweepPoint, VaryingParam};
+use crate::sweep::VaryingParam;
 use secreta_store::{
-    read_events_checked, ClaimOutcome, JobRecord, Journal, JournalEvent, LeaseSet, RunKey,
-    RunStore, StoreError, SweepRecord, STORE_SCHEMA_VERSION,
+    find_sweep, fnv1a, read_events_checked, ClaimOutcome, JobRecord, Journal, JournalEvent,
+    LeaseSet, RunKey, RunStore, StoreError,
 };
 use serde::{Deserialize, Value};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::process::Child;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+
+pub use crate::orchestrator::sweep_id_for;
 
 /// Knobs of the distributed execution layer. The defaults suit
 /// interactive runs; tests shrink the TTL to exercise reclaim quickly.
@@ -100,6 +101,14 @@ pub enum WorkerError {
         /// Digest of this worker's session.
         actual: String,
     },
+    /// The sweep's intent record names a varied parameter this build
+    /// does not know: its manifests would be mislabelled.
+    UnknownParam {
+        /// Sweep whose intent record is at fault.
+        sweep: String,
+        /// The unrecognized parameter label.
+        param: String,
+    },
     /// A job record's spec payload did not decode.
     BadJobRecord(String, String),
     /// A store operation failed.
@@ -123,6 +132,9 @@ impl std::fmt::Display for WorkerError {
                 "session context {actual} does not match sweep {sweep}'s \
                  recorded context {expected}: refusing to execute jobs"
             ),
+            WorkerError::UnknownParam { sweep, param } => {
+                write!(f, "sweep {sweep} varies unknown parameter {param:?}")
+            }
             WorkerError::BadJobRecord(key, why) => {
                 write!(f, "job record {key} is malformed: {why}")
             }
@@ -184,46 +196,10 @@ fn now_ms() -> u64 {
         .unwrap_or(0)
 }
 
-fn param_from_label(label: &str) -> VaryingParam {
-    match label {
-        "m" => VaryingParam::M,
-        "δ" => VaryingParam::Delta,
-        _ => VaryingParam::K,
-    }
-}
-
-fn fnv(text: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in text.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
-/// Read the journal tolerantly (workers append while we read, so a
-/// torn final line is expected, not an error) and return the last
-/// intent record for `sweep_id`, if any.
-fn find_sweep(journal_path: &Path, sweep_id: &str) -> io::Result<Option<SweepRecord>> {
-    if !journal_path.exists() {
-        return Ok(None);
-    }
-    let (events, _torn) = read_events_checked(journal_path)?;
-    Ok(events
-        .into_iter()
-        .filter_map(|e| match e {
-            JournalEvent::SweepStarted(rec) if rec.id == sweep_id => Some(rec),
-            _ => None,
-        })
-        .next_back())
-}
-
 /// Keys of `sweep_id` jobs that ran and failed (ok-false finishes with
 /// a recorded error): nobody should re-claim these until a resume.
+/// Workers append while we read, so a torn final line is expected.
 fn failed_keys(journal_path: &Path, sweep_id: &str) -> io::Result<HashMap<String, String>> {
-    if !journal_path.exists() {
-        return Ok(HashMap::new());
-    }
     let (events, _torn) = read_events_checked(journal_path)?;
     let mut out = HashMap::new();
     for e in events {
@@ -311,7 +287,8 @@ pub fn worker_loop(
     // poll for the intent record until the wait window closes
     let deadline = Instant::now() + Duration::from_millis(opts.worker_wait_ms);
     let record = loop {
-        match find_sweep(&journal_path, sweep_id).map_err(io_err(&journal_path))? {
+        let (events, _torn) = read_events_checked(&journal_path).map_err(io_err(&journal_path))?;
+        match find_sweep(&events, sweep_id) {
             Some(rec) => break rec,
             None if Instant::now() < deadline => {
                 std::thread::sleep(Duration::from_millis(opts.poll_ms.max(1)))
@@ -326,7 +303,11 @@ pub fn worker_loop(
             actual: digest,
         });
     }
-    let param = param_from_label(&record.param);
+    let param =
+        VaryingParam::from_label(&record.param).ok_or_else(|| WorkerError::UnknownParam {
+            sweep: sweep_id.to_owned(),
+            param: record.param.clone(),
+        })?;
     // the intent record is the authoritative job list; job records
     // supply the spec/seed payload per key as the coordinator lands them
     let keys: Vec<String> = record
@@ -345,7 +326,7 @@ pub fn worker_loop(
     let offset = if keys.is_empty() {
         0
     } else {
-        (fnv(leases.token()) % keys.len() as u64) as usize
+        (fnv1a(leases.token()) % keys.len() as u64) as usize
     };
     let mut attempt: u32 = 0;
     // if neither a job record nor a live lease shows up for this long,
@@ -403,6 +384,13 @@ pub fn worker_loop(
                     continue;
                 }
             };
+            if store.contains(&RunKey(key.clone())) {
+                // committed by the previous holder between our store
+                // check and our claim: nothing left to do
+                guard.release();
+                progressed = true;
+                continue;
+            }
             report.claimed += 1;
             journal
                 .append(&JournalEvent::JobClaimed {
@@ -444,15 +432,16 @@ pub fn worker_loop(
                     let committed =
                         store.put_fenced(&manifest, &rr.anon, guard.epoch(), &|| guard.verify())?;
                     if committed {
-                        journal
-                            .append(&JournalEvent::JobFinished {
-                                sweep: sweep_id.to_owned(),
-                                key: key.0.clone(),
-                                cache_hit: false,
-                                ok: true,
-                                wall_ms: rr.indicators.runtime_ms,
-                            })
-                            .map_err(io_err(&journal_path))?;
+                        let wall_ms = Ok(rr.indicators.runtime_ms);
+                        journal_outcome(
+                            &mut journal,
+                            sweep_id,
+                            &key.0,
+                            &job.label,
+                            job.value,
+                            wall_ms,
+                        )
+                        .map_err(io_err(&journal_path))?;
                         report.executed += 1;
                     } else {
                         report.fenced += 1;
@@ -463,23 +452,8 @@ pub fn worker_loop(
                     // stands: a fenced-off worker must not poison the
                     // job for its reclaimer
                     if guard.verify() {
-                        journal
-                            .append(&JournalEvent::JobFailed {
-                                sweep: sweep_id.to_owned(),
-                                key: key.clone(),
-                                label: job.label.clone(),
-                                value: job.value,
-                                error: run_err.to_string(),
-                            })
-                            .and_then(|_| {
-                                journal.append(&JournalEvent::JobFinished {
-                                    sweep: sweep_id.to_owned(),
-                                    key: key.clone(),
-                                    cache_hit: false,
-                                    ok: false,
-                                    wall_ms: 0.0,
-                                })
-                            })
+                        let error = Err(run_err.to_string());
+                        journal_outcome(&mut journal, sweep_id, key, &job.label, job.value, error)
                             .map_err(io_err(&journal_path))?;
                         report.failed += 1;
                     } else {
@@ -530,7 +504,6 @@ pub type WorkerSpawner = dyn Fn(usize, &str) -> io::Result<Child> + Sync;
 /// errors out early.
 struct ChildSet {
     children: Vec<Child>,
-    spawned: bool,
 }
 
 impl ChildSet {
@@ -539,22 +512,17 @@ impl ChildSet {
         workers: usize,
         sweep_id: &str,
     ) -> io::Result<ChildSet> {
-        match spawner {
-            Some(f) if workers > 0 => {
-                let mut children = Vec::with_capacity(workers);
-                for i in 0..workers {
-                    children.push(f(i, sweep_id)?);
-                }
-                Ok(ChildSet {
-                    children,
-                    spawned: true,
-                })
+        let mut set = ChildSet {
+            children: Vec::new(),
+        };
+        if let Some(f) = spawner {
+            for i in 0..workers {
+                // held by the set as soon as it exists, so a later
+                // failed spawn kills it on drop
+                set.children.push(f(i, sweep_id)?);
             }
-            _ => Ok(ChildSet {
-                children: Vec::new(),
-                spawned: false,
-            }),
         }
+        Ok(set)
     }
 
     fn any_alive(&mut self) -> bool {
@@ -594,251 +562,130 @@ pub fn run_distributed(
     opts: &DistOptions,
     spawner: Option<&WorkerSpawner>,
 ) -> Result<Orchestrated, StoreError> {
-    // same exclusivity as the in-process orchestrator: one sweep writer
-    // per store (workers don't take the lock; they only append)
-    let _store_lock = store.lock()?;
-    let digest = context_digest(ctx);
-    let (expanded, shape, param) = expand_jobs(&digest, configurations);
-    let sweep_id = sweep_id_of(&digest, &expanded);
-
-    let mut journal = store.journal()?;
-    let jerr = |j: &Journal| {
-        let p = j.path().to_path_buf();
-        move |e: io::Error| StoreError::Io(p.clone(), e)
-    };
-    let record = sweep_record_of(
-        &sweep_id,
-        &digest,
-        param,
+    drive(
+        ctx,
+        Some(store),
+        true,
         configurations,
-        &expanded,
-        &shape,
         invocation,
-    );
-    journal
-        .append(&JournalEvent::SweepStarted(record))
-        .map_err(jerr(&journal))?;
-
-    // serve what the store already holds; the rest becomes job records
-    let mut slots: Vec<Option<(Result<RunResult, RunError>, bool)>> =
-        expanded.iter().map(|_| None).collect();
-    let mut miss_indices: Vec<usize> = Vec::new();
-    for (i, e) in expanded.iter().enumerate() {
-        let hit = store
-            .get(&e.key)?
-            .filter(|s| s.manifest.schema_version == STORE_SCHEMA_VERSION)
-            .map(replay);
-        match hit {
-            Some(rr) => {
-                slots[i] = Some((Ok(rr), true));
-                journal
-                    .append(&JournalEvent::JobFinished {
-                        sweep: sweep_id.clone(),
-                        key: e.key.0.clone(),
-                        cache_hit: true,
-                        ok: true,
-                        wall_ms: 0.0,
-                    })
-                    .map_err(jerr(&journal))?;
-            }
-            None => miss_indices.push(i),
-        }
-    }
-
-    let mut stats = CacheStats {
-        hits: (expanded.len() - miss_indices.len()) as u64,
-        ..CacheStats::default()
-    };
-
-    if !miss_indices.is_empty() {
-        let records: Vec<JobRecord> = miss_indices
-            .iter()
-            .map(|&i| {
-                let e = &expanded[i];
-                JobRecord {
-                    sweep: sweep_id.clone(),
-                    key: e.key.0.clone(),
-                    seq: i as u64,
-                    label: e.label.clone(),
-                    value: e.value as f64,
-                    seed: e.seed,
-                    spec: serde::Serialize::ser(&e.spec),
-                }
-            })
-            .collect();
-        store.put_jobs(&records)?;
-
-        let mut children = ChildSet::spawn(spawner, opts.workers, &sweep_id)
-            .map_err(|e| StoreError::Io(store.root().to_path_buf(), e))?;
-        // observer-only lease view, used to tell "a worker is on it"
-        // from "nobody will ever finish this"
-        let leases = LeaseSet::open(store.root(), &sweep_id, opts.lease_ttl_ms)
-            .map_err(|e| StoreError::Io(store.root().to_path_buf(), e))?;
-        let journal_path = store.journal_path();
-
-        let mut done: HashSet<usize> = HashSet::new();
-        let mut failed: HashMap<usize, String> = HashMap::new();
-        // grace before declaring jobs lost: long enough for an external
-        // worker to attach and for stale leases to expire
-        let grace = Duration::from_millis((2 * opts.lease_ttl_ms).max(500));
-        let mut last_activity = Instant::now();
-        loop {
-            let journaled_failures = failed_keys(&journal_path, &sweep_id)
-                .map_err(|e| StoreError::Io(journal_path.clone(), e))?;
-            let mut changed = false;
-            for &i in &miss_indices {
-                if done.contains(&i) || failed.contains_key(&i) {
-                    continue;
-                }
-                let e = &expanded[i];
-                if store.contains(&e.key) {
-                    done.insert(i);
-                    changed = true;
-                } else if let Some(err) = journaled_failures.get(&e.key.0) {
-                    failed.insert(i, err.clone());
-                    changed = true;
-                }
-            }
-            let pending: Vec<usize> = miss_indices
-                .iter()
-                .copied()
-                .filter(|i| !done.contains(i) && !failed.contains_key(i))
-                .collect();
-            if pending.is_empty() {
-                break;
-            }
-            if changed {
-                last_activity = Instant::now();
-            }
-            let now = now_ms();
-            let fresh_lease = pending.iter().any(|&i| {
-                leases
-                    .peek(&expanded[i].key.0)
-                    .ok()
-                    .flatten()
-                    .is_some_and(|rec| !rec.is_stale(now))
-            });
-            if fresh_lease {
-                last_activity = Instant::now();
-            } else {
-                // nobody holds a live lease on anything pending; if the
-                // spawned workers are all dead and nothing lands within
-                // the grace window, the remaining jobs are lost
-                let abandoned = if children.spawned {
-                    !children.any_alive()
-                } else {
-                    true
-                };
-                if abandoned && last_activity.elapsed() >= grace {
-                    for &i in &pending {
-                        let e = &expanded[i];
-                        // merging wraps this in `RunError::Lost`, whose
-                        // Display adds the "job lost:" prefix
-                        let error =
-                            format!("every worker of sweep {sweep_id} died before completing it");
-                        journal
-                            .append(&JournalEvent::JobFailed {
-                                sweep: sweep_id.clone(),
-                                key: e.key.0.clone(),
-                                label: e.label.clone(),
-                                value: e.value as f64,
-                                error: error.clone(),
-                            })
-                            .and_then(|_| {
-                                journal.append(&JournalEvent::JobFinished {
-                                    sweep: sweep_id.clone(),
-                                    key: e.key.0.clone(),
-                                    cache_hit: false,
-                                    ok: false,
-                                    wall_ms: 0.0,
-                                })
-                            })
-                            .map_err(jerr(&journal))?;
-                        failed.insert(i, error);
-                    }
-                    break;
-                }
-            }
-            std::thread::sleep(Duration::from_millis(opts.poll_ms.max(1)));
-        }
-        drop(children);
-
-        // merge from the store in expansion order — this is what makes
-        // the distributed result byte-identical to a single-process run
-        for &i in &miss_indices {
-            let e = &expanded[i];
-            if let Some(error) = failed.get(&i) {
-                slots[i] = Some((Err(RunError::Lost(error.clone())), false));
-                stats.failures += 1;
-                continue;
-            }
-            let stored = store
-                .get(&e.key)?
-                .ok_or_else(|| {
-                    StoreError::Corrupt(
-                        store.root().to_path_buf(),
-                        format!("run {} vanished after its worker committed it", e.key.0),
-                    )
-                })
-                .map(replay)?;
-            slots[i] = Some((Ok(stored), false));
-            stats.misses += 1;
-        }
-        store.clear_jobs(&sweep_id)?;
-    }
-
-    journal
-        .append(&JournalEvent::SweepFinished {
-            sweep: sweep_id.clone(),
-            hits: stats.hits,
-            misses: stats.misses,
-            failures: stats.failures,
-        })
-        .map_err(jerr(&journal))?;
-    if let Some(sink) = ctx.obsv.sink() {
-        sink.write_record(&secreta_obsv::trace::cache_record(
-            &sweep_id,
-            stats.hits,
-            stats.misses,
-            stats.failures,
-        ));
-    }
-
-    // reassemble per-configuration point lists, exactly like compare()
-    let mut results = slots.into_iter();
-    let mut expanded_it = expanded.iter();
-    let mut points = Vec::with_capacity(configurations.len());
-    for values in &shape {
-        let mut cfg_points = Vec::with_capacity(values.len());
-        for _ in 0..values.len() {
-            let e = expanded_it.next().expect("shape matches expansion");
-            let (outcome, _) = results.next().flatten().expect("slot filled");
-            cfg_points.push((
-                e.value,
-                outcome.map(|rr| SweepPoint {
-                    value: e.value,
-                    indicators: rr.indicators,
-                }),
-            ));
-        }
-        points.push(cfg_points);
-    }
-
-    Ok(Orchestrated {
-        result: ComparisonResult {
-            labels: configurations.iter().map(|c| c.label.clone()).collect(),
-            param,
-            points,
+        |plan, misses, journal| {
+            let journal = journal.expect("a store-backed sweep has a journal");
+            run_leased(store, plan, misses, journal, opts, spawner)
         },
-        stats,
-        sweep_id,
-    })
+    )
 }
 
-/// The sweep id this session + configuration set would get — what the
-/// CLI prints so externally attached workers know what to look for.
-pub fn sweep_id_for(ctx: &SessionContext, configurations: &[Configuration]) -> String {
-    let digest = context_digest(ctx);
-    let (expanded, _, _) = expand_jobs(&digest, configurations);
-    sweep_id_of(&digest, &expanded)
+/// The lease executor: publish one claimable job record per miss,
+/// spawn the local workers, watch the store until every miss is
+/// committed or journaled as failed — declaring the rest lost once no
+/// worker is left to finish them — then merge the outcomes from the
+/// store and remove the job records.
+fn run_leased(
+    store: &RunStore,
+    plan: &Plan,
+    misses: &[usize],
+    journal: &mut Journal,
+    opts: &DistOptions,
+    spawner: Option<&WorkerSpawner>,
+) -> Result<Outcomes, StoreError> {
+    let sweep_id = &plan.sweep_id;
+    let records: Vec<JobRecord> = misses
+        .iter()
+        .map(|&i| {
+            let e = &plan.jobs[i];
+            JobRecord {
+                sweep: sweep_id.clone(),
+                key: e.key.0.clone(),
+                seq: i as u64,
+                label: e.label.clone(),
+                value: e.value as f64,
+                seed: e.seed,
+                spec: serde::Serialize::ser(&e.spec),
+            }
+        })
+        .collect();
+    store.put_jobs(&records)?;
+
+    let root_err = |e: io::Error| StoreError::Io(store.root().to_path_buf(), e);
+    let mut children = ChildSet::spawn(spawner, opts.workers, sweep_id).map_err(root_err)?;
+    // observer-only lease view, used to tell "a worker is on it" from
+    // "nobody will ever finish this"
+    let leases = LeaseSet::open(store.root(), sweep_id, opts.lease_ttl_ms).map_err(root_err)?;
+    let journal_path = store.journal_path();
+
+    let mut pending: Vec<usize> = misses.to_vec();
+    let mut failed: HashMap<usize, String> = HashMap::new();
+    // grace before declaring jobs lost: long enough for an external
+    // worker to attach and for stale leases to expire
+    let grace = Duration::from_millis((2 * opts.lease_ttl_ms).max(500));
+    let mut last_activity = Instant::now();
+    loop {
+        let journaled_failures = failed_keys(&journal_path, sweep_id)
+            .map_err(|e| StoreError::Io(journal_path.clone(), e))?;
+        let before = pending.len();
+        pending.retain(|&i| {
+            let key = &plan.jobs[i].key;
+            if store.contains(key) {
+                return false;
+            }
+            match journaled_failures.get(&key.0) {
+                Some(error) => {
+                    failed.insert(i, error.clone());
+                    false
+                }
+                None => true,
+            }
+        });
+        if pending.is_empty() {
+            break;
+        }
+        let now = now_ms();
+        let fresh_lease = pending.iter().any(|&i| {
+            leases
+                .peek(&plan.jobs[i].key.0)
+                .ok()
+                .flatten()
+                .is_some_and(|rec| !rec.is_stale(now))
+        });
+        if pending.len() < before || fresh_lease {
+            last_activity = Instant::now();
+        } else if !children.any_alive() && last_activity.elapsed() >= grace {
+            // nobody holds a live lease on anything pending, no spawned
+            // worker is alive and nothing landed within the grace
+            // window: the remaining jobs are lost. Merging wraps the
+            // message in `RunError::Lost`, whose Display adds the
+            // "job lost:" prefix
+            let error = format!("every worker of sweep {sweep_id} died before completing it");
+            for &i in &pending {
+                let e = &plan.jobs[i];
+                let lost = Err(error.clone());
+                journal_outcome(journal, sweep_id, &e.key.0, &e.label, e.value as f64, lost)
+                    .map_err(|err| StoreError::Io(journal_path.clone(), err))?;
+                failed.insert(i, error.clone());
+            }
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(opts.poll_ms.max(1)));
+    }
+    drop(children);
+
+    // merge from the store — never from worker output — which is what
+    // makes the result byte-identical to a single-process run
+    let outcomes = misses
+        .iter()
+        .map(|&i| match failed.remove(&i) {
+            Some(error) => Ok(Err(RunError::Lost(error))),
+            None => cached(store, &plan.jobs[i].key)?.map(Ok).ok_or_else(|| {
+                StoreError::Corrupt(
+                    store.root().to_path_buf(),
+                    format!(
+                        "run {} vanished after its worker committed it",
+                        plan.jobs[i].key.0
+                    ),
+                )
+            }),
+        })
+        .collect::<Result<Outcomes, StoreError>>()?;
+    store.clear_jobs(sweep_id)?;
+    Ok(outcomes)
 }

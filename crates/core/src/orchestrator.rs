@@ -4,9 +4,8 @@
 //! and multi-method comparison — both expand into the same shape of
 //! work: a list of configurations, each swept over a varying
 //! parameter, yielding a DAG of independent (spec, sweep point, seed)
-//! jobs fanned out over the evaluator's worker pool. This module owns
-//! that expansion and adds three properties on top of the plain
-//! [`run_many`](crate::evaluator::run_many) fan-out:
+//! jobs. This module owns that expansion and the one sweep driver
+//! that runs it, adding three properties on top of a plain fan-out:
 //!
 //! * **Caching** — with a [`RunStore`] attached, every job is content
 //!   addressed (see [`secreta_store::key`]) and looked up before it
@@ -26,9 +25,14 @@
 //!   store: completed jobs are cache hits, only the missing tail
 //!   executes.
 //!
-//! Without a store, the orchestrator degrades to exactly the old
-//! behaviour — [`crate::comparison::compare`] and
-//! [`crate::sweep::evaluate_sweep`] are thin wrappers over it.
+//! The driver hands the cache misses to an executor. [`Orchestrator`]
+//! runs them on the evaluator's scoped-thread pool; the distributed
+//! coordinator ([`crate::distributed::run_distributed`]) publishes them
+//! as leased job records for worker processes. Everything else — lock,
+//! intent, hits, counters, reassembly — is the same code for both.
+//! [`crate::comparison::compare`] and [`crate::sweep::evaluate_sweep`]
+//! run through the pool executor without a store: no caching, no
+//! journal.
 
 use crate::anonymizer::{run_isolated, RunError, RunResult};
 use crate::comparison::{ComparisonResult, Configuration};
@@ -38,10 +42,11 @@ use crate::evaluator::{run_many_with, Job};
 use crate::sweep::{SweepPoint, VaryingParam};
 use secreta_data::CsvOptions;
 use secreta_store::{
-    run_key, DigestWriter, JournalEvent, RunKey, RunManifest, RunStore, Sha256, StoreError,
-    SweepRecord, STORE_SCHEMA_VERSION,
+    run_key, DigestWriter, Journal, JournalEvent, RunKey, RunManifest, RunStore, Sha256,
+    StoreError, SweepRecord, STORE_SCHEMA_VERSION,
 };
 use serde::{Serialize, Value};
+use std::io;
 use std::sync::Mutex;
 use std::time::{SystemTime, UNIX_EPOCH};
 
@@ -129,6 +134,7 @@ pub struct Orchestrator {
     threads: usize,
 }
 
+/// One (configuration, sweep value) job of an expanded sweep.
 pub(crate) struct ExpandedJob {
     pub(crate) value: usize,
     pub(crate) spec: MethodSpec,
@@ -137,12 +143,26 @@ pub(crate) struct ExpandedJob {
     pub(crate) key: RunKey,
 }
 
-/// Expand `configurations` into the deterministic flat job list shared
-/// by the in-process orchestrator and the distributed coordinator /
-/// worker roles: one [`ExpandedJob`] per (configuration, sweep value),
-/// in configuration order then sweep order, plus the per-configuration
-/// value shape and the varied parameter.
-pub(crate) fn expand_jobs(
+/// An expanded sweep, as the driver hands it to an executor.
+pub(crate) struct Plan {
+    /// Digest of the session ([`context_digest`]).
+    pub(crate) digest: String,
+    /// Deterministic sweep id ([`sweep_id_of`]).
+    pub(crate) sweep_id: String,
+    /// The varied parameter.
+    pub(crate) param: VaryingParam,
+    /// Every job, in configuration order then sweep order.
+    pub(crate) jobs: Vec<ExpandedJob>,
+}
+
+/// One outcome per job an executor was given, in the order given.
+pub(crate) type Outcomes = Vec<Result<RunResult, RunError>>;
+
+/// Expand `configurations` into the deterministic flat job list: one
+/// [`ExpandedJob`] per (configuration, sweep value), in configuration
+/// order then sweep order, plus the per-configuration value shape and
+/// the varied parameter.
+fn expand_jobs(
     digest: &str,
     configurations: &[Configuration],
 ) -> (Vec<ExpandedJob>, Vec<Vec<usize>>, VaryingParam) {
@@ -175,36 +195,220 @@ pub(crate) fn expand_jobs(
     (expanded, shape, param)
 }
 
-/// The journal intent record for an expansion — shared by the
-/// in-process sweep and the distributed coordinator so `runs resume`
-/// treats both identically.
-pub(crate) fn sweep_record_of(
-    sweep_id: &str,
-    digest: &str,
-    param: VaryingParam,
+/// The journal intent record of a plan — what `runs resume` replays
+/// and what distributed workers read their job list from.
+fn sweep_record_of(
+    plan: &Plan,
     configurations: &[Configuration],
-    expanded: &[ExpandedJob],
     shape: &[Vec<usize>],
     invocation: Value,
 ) -> SweepRecord {
-    let mut jobs_per_cfg: Vec<Vec<(f64, String)>> = Vec::new();
-    let mut it = expanded.iter();
-    for values in shape {
-        jobs_per_cfg.push(
+    let mut it = plan.jobs.iter();
+    let jobs = shape
+        .iter()
+        .map(|values| {
             it.by_ref()
                 .take(values.len())
                 .map(|e| (e.value as f64, e.key.0.clone()))
-                .collect(),
-        );
-    }
+                .collect()
+        })
+        .collect();
     SweepRecord {
-        id: sweep_id.to_owned(),
-        context: digest.to_owned(),
-        param: param.label().to_owned(),
+        id: plan.sweep_id.clone(),
+        context: plan.digest.clone(),
+        param: plan.param.label().to_owned(),
         labels: configurations.iter().map(|c| c.label.clone()).collect(),
-        jobs: jobs_per_cfg,
+        jobs,
         invocation,
     }
+}
+
+/// The sweep id this session + configuration set would get — what the
+/// CLI prints so externally attached workers know what to look for.
+pub fn sweep_id_for(ctx: &SessionContext, configurations: &[Configuration]) -> String {
+    let digest = context_digest(ctx);
+    let (expanded, _, _) = expand_jobs(&digest, configurations);
+    sweep_id_of(&digest, &expanded)
+}
+
+/// The stored run under `key`, replayed, if the store holds one of the
+/// current schema.
+pub(crate) fn cached(store: &RunStore, key: &RunKey) -> Result<Option<RunResult>, StoreError> {
+    Ok(store
+        .get(key)?
+        .filter(|s| s.manifest.schema_version == STORE_SCHEMA_VERSION)
+        .map(replay))
+}
+
+/// Journal how one executed job ended: `JobFinished` with its wall
+/// time on success; on failure `JobFailed` carrying the error, then
+/// `JobFinished { ok: false }` so the counters stay consistent — the
+/// failure line is what marks the sweep degraded (hence resumable).
+pub(crate) fn journal_outcome(
+    journal: &mut Journal,
+    sweep: &str,
+    key: &str,
+    label: &str,
+    value: f64,
+    outcome: Result<f64, String>,
+) -> io::Result<()> {
+    let (ok, wall_ms) = match outcome {
+        Ok(wall_ms) => (true, wall_ms),
+        Err(error) => {
+            journal.append(&JournalEvent::JobFailed {
+                sweep: sweep.to_owned(),
+                key: key.to_owned(),
+                label: label.to_owned(),
+                value,
+                error,
+            })?;
+            (false, 0.0)
+        }
+    };
+    journal.append(&JournalEvent::JobFinished {
+        sweep: sweep.to_owned(),
+        key: key.to_owned(),
+        cache_hit: false,
+        ok,
+        wall_ms,
+    })
+}
+
+fn append(journal: &mut Journal, event: &JournalEvent) -> Result<(), StoreError> {
+    journal
+        .append(event)
+        .map_err(|e| StoreError::Io(journal.path().to_path_buf(), e))
+}
+
+/// The sweep driver behind [`Orchestrator::compare`] and
+/// [`crate::distributed::run_distributed`]: takes the store lock,
+/// expands `configurations`, journals the intent, serves cache hits
+/// (when `lookup`), hands the misses — indices into `plan.jobs` — to
+/// `execute`, then journals the summary and reassembles the result in
+/// expansion order. The executor journals its own per-job events
+/// through the journal it is lent (`None` without a store).
+pub(crate) fn drive(
+    ctx: &SessionContext,
+    store: Option<&RunStore>,
+    lookup: bool,
+    configurations: &[Configuration],
+    invocation: Value,
+    execute: impl FnOnce(&Plan, &[usize], Option<&mut Journal>) -> Result<Outcomes, StoreError>,
+) -> Result<Orchestrated, StoreError> {
+    // one sweep writer at a time: a second sweep sharing this store
+    // gets StoreError::Locked instead of interleaving sweep events
+    // (released when the guard drops at return)
+    let _store_lock = store.map(RunStore::lock).transpose()?;
+    let digest = context_digest(ctx);
+    let (jobs, shape, param) = expand_jobs(&digest, configurations);
+    let plan = Plan {
+        sweep_id: sweep_id_of(&digest, &jobs),
+        digest,
+        param,
+        jobs,
+    };
+
+    // write-ahead intent: everything needed to resume after a kill
+    let mut journal = store.map(RunStore::journal).transpose()?;
+    if let Some(j) = &mut journal {
+        let record = sweep_record_of(&plan, configurations, &shape, invocation);
+        append(j, &JournalEvent::SweepStarted(record))?;
+    }
+
+    // serve hits from the store, collect misses
+    let mut outcomes: Vec<Option<Result<RunResult, RunError>>> = Vec::new();
+    let mut misses: Vec<usize> = Vec::new();
+    for (i, e) in plan.jobs.iter().enumerate() {
+        let hit = match store {
+            Some(store) if lookup => cached(store, &e.key)?,
+            _ => None,
+        };
+        if hit.is_none() {
+            misses.push(i);
+        }
+        outcomes.push(hit.map(Ok));
+    }
+    let mut stats = CacheStats {
+        hits: (plan.jobs.len() - misses.len()) as u64,
+        ..CacheStats::default()
+    };
+    if let Some(j) = &mut journal {
+        // replays complete at lookup time: journal them first
+        for (e, _) in plan.jobs.iter().zip(&outcomes).filter(|(_, o)| o.is_some()) {
+            append(
+                j,
+                &JournalEvent::JobFinished {
+                    sweep: plan.sweep_id.clone(),
+                    key: e.key.0.clone(),
+                    cache_hit: true,
+                    ok: true,
+                    wall_ms: 0.0,
+                },
+            )?;
+        }
+    }
+    if !misses.is_empty() {
+        let executed = execute(&plan, &misses, journal.as_mut())?;
+        debug_assert_eq!(executed.len(), misses.len(), "one outcome per miss");
+        for (&i, outcome) in misses.iter().zip(executed) {
+            match outcome {
+                Ok(_) => stats.misses += 1,
+                Err(_) => stats.failures += 1,
+            }
+            outcomes[i] = Some(outcome);
+        }
+    }
+
+    // summary counters close the sweep in the journal
+    if let Some(j) = &mut journal {
+        append(
+            j,
+            &JournalEvent::SweepFinished {
+                sweep: plan.sweep_id.clone(),
+                hits: stats.hits,
+                misses: stats.misses,
+                failures: stats.failures,
+            },
+        )?;
+    }
+    // mirror the summary into the NDJSON trace stream, when one is
+    // configured — the per-run records are already there
+    if let Some(sink) = ctx.obsv.sink() {
+        sink.write_record(&secreta_obsv::trace::cache_record(
+            &plan.sweep_id,
+            stats.hits,
+            stats.misses,
+            stats.failures,
+        ));
+    }
+
+    // reassemble per-configuration point lists, in sweep order
+    let mut it = plan.jobs.iter().zip(outcomes);
+    let points = shape
+        .iter()
+        .map(|values| {
+            it.by_ref()
+                .take(values.len())
+                .map(|(e, outcome)| {
+                    let outcome = outcome.expect("every job has an outcome");
+                    let point = outcome.map(|rr| SweepPoint {
+                        value: e.value,
+                        indicators: rr.indicators,
+                    });
+                    (e.value, point)
+                })
+                .collect()
+        })
+        .collect();
+    Ok(Orchestrated {
+        result: ComparisonResult {
+            labels: configurations.iter().map(|c| c.label.clone()).collect(),
+            param,
+            points,
+        },
+        stats,
+        sweep_id: plan.sweep_id,
+    })
 }
 
 impl Orchestrator {
@@ -248,10 +452,8 @@ impl Orchestrator {
         let digest = context_digest(ctx);
         let key = job_key(&digest, spec, seed, None);
         if let (Some(store), false) = (&self.store, self.bypass_cache) {
-            if let Some(stored) = store.get(&key)? {
-                if stored.manifest.schema_version == STORE_SCHEMA_VERSION {
-                    return Ok((Ok(replay(stored)), true));
-                }
+            if let Some(rr) = cached(store, &key)? {
+                return Ok((Ok(rr), true));
             }
         }
         let result = run_isolated(ctx, spec, seed);
@@ -276,222 +478,95 @@ impl Orchestrator {
         configurations: &[Configuration],
         invocation: Value,
     ) -> Result<Orchestrated, StoreError> {
-        // one journal writer at a time: a second orchestrator sharing
-        // this store gets StoreError::Locked instead of interleaving
-        // sweep events (released when the guard drops at return)
-        let _store_lock = match &self.store {
-            Some(store) => Some(store.lock()?),
-            None => None,
-        };
-        let digest = context_digest(ctx);
+        drive(
+            ctx,
+            self.store.as_ref(),
+            !self.bypass_cache,
+            configurations,
+            invocation,
+            |plan, misses, journal| self.run_pool(ctx, plan, misses, journal),
+        )
+    }
 
-        // expand the DAG: one job per (configuration, sweep value)
-        let (expanded, shape, param) = expand_jobs(&digest, configurations);
-        let sweep_id = sweep_id_of(&digest, &expanded);
-
-        // write-ahead intent: everything needed to resume after a kill
-        let mut journal = match &self.store {
-            Some(store) => Some(store.journal()?),
-            None => None,
-        };
-        if let Some(j) = &mut journal {
-            let record = sweep_record_of(
-                &sweep_id,
-                &digest,
-                param,
-                configurations,
-                &expanded,
-                &shape,
-                invocation,
-            );
-            j.append(&JournalEvent::SweepStarted(record))
-                .map_err(|e| StoreError::Io(j.path().to_path_buf(), e))?;
-        }
-
-        // serve hits from the store, collect misses
-        let mut slots: Vec<Option<(Result<RunResult, RunError>, bool)>> =
-            expanded.iter().map(|_| None).collect();
-        let mut miss_indices: Vec<usize> = Vec::new();
-        for (i, e) in expanded.iter().enumerate() {
-            let hit = match (&self.store, self.bypass_cache) {
-                (Some(store), false) => store
-                    .get(&e.key)?
-                    .filter(|s| s.manifest.schema_version == STORE_SCHEMA_VERSION)
-                    .map(replay),
-                _ => None,
-            };
-            match hit {
-                Some(rr) => slots[i] = Some((Ok(rr), true)),
-                None => miss_indices.push(i),
-            }
-        }
-
-        if let Some(j) = &mut journal {
-            // replays complete at lookup time: journal them first
-            for (e, slot) in expanded.iter().zip(&slots) {
-                if slot.is_some() {
-                    j.append(&JournalEvent::JobFinished {
-                        sweep: sweep_id.clone(),
+    /// The pool executor: run the misses on the evaluator's scoped
+    /// threads, persisting and journaling each result on its worker
+    /// thread the moment it lands — that is what makes a killed sweep
+    /// resumable: everything that finished before the kill is already
+    /// durable. Store errors on the workers are deferred to the end.
+    fn run_pool(
+        &self,
+        ctx: &SessionContext,
+        plan: &Plan,
+        misses: &[usize],
+        mut journal: Option<&mut Journal>,
+    ) -> Result<Outcomes, StoreError> {
+        if let Some(j) = journal.as_deref_mut() {
+            for &i in misses {
+                let e = &plan.jobs[i];
+                append(
+                    j,
+                    &JournalEvent::JobStarted {
+                        sweep: plan.sweep_id.clone(),
                         key: e.key.0.clone(),
-                        cache_hit: true,
-                        ok: true,
-                        wall_ms: 0.0,
-                    })
-                    .map_err(|err| StoreError::Io(j.path().to_path_buf(), err))?;
-                }
-            }
-            for &i in &miss_indices {
-                let e = &expanded[i];
-                j.append(&JournalEvent::JobStarted {
-                    sweep: sweep_id.clone(),
-                    key: e.key.0.clone(),
-                    label: e.label.clone(),
-                    value: e.value as f64,
-                })
-                .map_err(|err| StoreError::Io(j.path().to_path_buf(), err))?;
+                        label: e.label.clone(),
+                        value: e.value as f64,
+                    },
+                )?;
             }
         }
-
-        // fan the misses out over the evaluator pool, persisting and
-        // journaling each result on the worker the moment it lands —
-        // that is what makes a killed sweep resumable: everything that
-        // finished before the kill is already durable
-        let jobs: Vec<Job> = miss_indices
+        let jobs: Vec<Job> = misses
             .iter()
             .map(|&i| Job {
-                spec: expanded[i].spec.clone(),
-                seed: expanded[i].seed,
+                spec: plan.jobs[i].spec.clone(),
+                seed: plan.jobs[i].seed,
             })
             .collect();
-        let journal_mx = Mutex::new(journal);
-        let deferred_err: Mutex<Option<StoreError>> = Mutex::new(None);
+        let journal = Mutex::new(journal);
+        let deferred: Mutex<Option<StoreError>> = Mutex::new(None);
         let defer = |err: StoreError| {
-            let mut slot = deferred_err.lock().unwrap_or_else(|e| e.into_inner());
+            let mut slot = deferred.lock().unwrap_or_else(|e| e.into_inner());
             slot.get_or_insert(err);
         };
         let outcomes = run_many_with(ctx, &jobs, self.threads, |slot, outcome| {
-            let e = &expanded[miss_indices[slot]];
+            let e = &plan.jobs[misses[slot]];
             if let (Some(store), Ok(rr)) = (&self.store, outcome) {
-                let manifest = manifest_of(
-                    &e.key,
-                    &digest,
-                    &e.label,
-                    &e.spec,
-                    e.seed,
-                    Some((param, e.value)),
-                    rr,
-                );
+                let sweep = Some((plan.param, e.value));
+                let manifest =
+                    manifest_of(&e.key, &plan.digest, &e.label, &e.spec, e.seed, sweep, rr);
                 if let Err(err) = store.put(&manifest, &rr.anon) {
                     defer(err);
                     return;
                 }
             }
-            let (ok, wall_ms) = match outcome {
-                Ok(rr) => (true, rr.indicators.runtime_ms),
-                Err(_) => (false, 0.0),
-            };
-            let mut guard = journal_mx.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(j) = guard.as_mut() {
-                // a failed job gets both lines: JobFinished keeps the
-                // counters consistent, JobFailed carries the error and
-                // marks the sweep degraded (hence resumable)
-                if let Err(run_err) = outcome {
-                    if let Err(err) = j.append(&JournalEvent::JobFailed {
-                        sweep: sweep_id.clone(),
-                        key: e.key.0.clone(),
-                        label: e.label.clone(),
-                        value: e.value as f64,
-                        error: run_err.to_string(),
-                    }) {
-                        defer(StoreError::Io(j.path().to_path_buf(), err));
-                    }
-                }
-                if let Err(err) = j.append(&JournalEvent::JobFinished {
-                    sweep: sweep_id.clone(),
-                    key: e.key.0.clone(),
-                    cache_hit: false,
-                    ok,
-                    wall_ms,
-                }) {
+            let mut guard = journal.lock().unwrap_or_else(|e| e.into_inner());
+            if let Some(j) = guard.as_deref_mut() {
+                let summary = outcome
+                    .as_ref()
+                    .map(|rr| rr.indicators.runtime_ms)
+                    .map_err(ToString::to_string);
+                let logged = journal_outcome(
+                    j,
+                    &plan.sweep_id,
+                    &e.key.0,
+                    &e.label,
+                    e.value as f64,
+                    summary,
+                );
+                if let Err(err) = logged {
                     defer(StoreError::Io(j.path().to_path_buf(), err));
                 }
             }
         });
-        let mut journal = journal_mx.into_inner().unwrap_or_else(|e| e.into_inner());
-        if let Some(err) = deferred_err.into_inner().unwrap_or_else(|e| e.into_inner()) {
-            return Err(err);
+        match deferred.into_inner().unwrap_or_else(|e| e.into_inner()) {
+            Some(err) => Err(err),
+            None => Ok(outcomes),
         }
-        for (&i, outcome) in miss_indices.iter().zip(outcomes) {
-            slots[i] = Some((outcome, false));
-        }
-
-        // summary counters close the sweep in the journal
-        let mut stats = CacheStats::default();
-        for slot in &slots {
-            let (outcome, cache_hit) = slot.as_ref().expect("every job has an outcome");
-            if *cache_hit {
-                stats.hits += 1;
-            } else if outcome.is_ok() {
-                stats.misses += 1;
-            } else {
-                stats.failures += 1;
-            }
-        }
-        if let Some(j) = &mut journal {
-            j.append(&JournalEvent::SweepFinished {
-                sweep: sweep_id.clone(),
-                hits: stats.hits,
-                misses: stats.misses,
-                failures: stats.failures,
-            })
-            .map_err(|err| StoreError::Io(j.path().to_path_buf(), err))?;
-        }
-        // mirror the summary into the NDJSON trace stream, when one is
-        // configured — the per-run records are already there
-        if let Some(sink) = ctx.obsv.sink() {
-            sink.write_record(&secreta_obsv::trace::cache_record(
-                &sweep_id,
-                stats.hits,
-                stats.misses,
-                stats.failures,
-            ));
-        }
-
-        // reassemble per-configuration point lists, in sweep order
-        let mut results = slots.into_iter();
-        let mut expanded_it = expanded.iter();
-        let mut points = Vec::with_capacity(configurations.len());
-        for values in shape {
-            let mut cfg_points = Vec::with_capacity(values.len());
-            for _ in 0..values.len() {
-                let e = expanded_it.next().expect("shape matches expansion");
-                let (outcome, _) = results.next().flatten().expect("slot filled");
-                cfg_points.push((
-                    e.value,
-                    outcome.map(|rr| SweepPoint {
-                        value: e.value,
-                        indicators: rr.indicators,
-                    }),
-                ));
-            }
-            points.push(cfg_points);
-        }
-
-        Ok(Orchestrated {
-            result: ComparisonResult {
-                labels: configurations.iter().map(|c| c.label.clone()).collect(),
-                param,
-                points,
-            },
-            stats,
-            sweep_id,
-        })
     }
 }
 
 /// Rebuild a `RunResult` from a stored run. Exact: the stored JSON
 /// preserves every float bit-for-bit.
-pub(crate) fn replay(stored: secreta_store::StoredRun) -> RunResult {
+fn replay(stored: secreta_store::StoredRun) -> RunResult {
     RunResult {
         anon: stored.anon,
         phases: stored.manifest.phases,
@@ -534,7 +609,7 @@ pub(crate) fn manifest_of(
 /// every job's (label, key). The same experiment against the same
 /// session always gets the same id, which is what lets `runs resume`
 /// find the matching intent record.
-pub(crate) fn sweep_id_of(digest: &str, expanded: &[ExpandedJob]) -> String {
+fn sweep_id_of(digest: &str, expanded: &[ExpandedJob]) -> String {
     let mut h = Sha256::new();
     h.update(digest.as_bytes());
     for e in expanded {

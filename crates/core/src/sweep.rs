@@ -34,6 +34,13 @@ impl VaryingParam {
             VaryingParam::Delta => "δ",
         }
     }
+
+    /// The parameter whose [`label`](Self::label) is `label`, if any.
+    pub fn from_label(label: &str) -> Option<VaryingParam> {
+        [VaryingParam::K, VaryingParam::M, VaryingParam::Delta]
+            .into_iter()
+            .find(|p| p.label() == label)
+    }
 }
 
 /// A start/end/step sweep, inclusive of `end` when the step lands on

@@ -262,4 +262,60 @@ fn worker_validates_sweep_and_context() {
         }
         other => panic!("expected ContextMismatch, got {other:?}"),
     }
+
+    // an intent record of this session varying a parameter nobody knows
+    journal
+        .append(&JournalEvent::SweepStarted(SweepRecord {
+            id: "f00df00df00df00d".to_owned(),
+            context: secreta_core::context_digest(&ctx),
+            param: "x".to_owned(),
+            labels: vec![],
+            jobs: vec![],
+            invocation: Value::Null,
+        }))
+        .unwrap();
+    match worker_loop(&ctx, &store, "f00df00df00df00d", &o) {
+        Err(WorkerError::UnknownParam { sweep, param }) => {
+            assert_eq!((sweep.as_str(), param.as_str()), ("f00df00df00df00d", "x"))
+        }
+        other => panic!("expected UnknownParam, got {other:?}"),
+    }
+}
+
+/// A spawn that fails part-way must not orphan the workers already
+/// started: the coordinator returns the error and the earlier children
+/// are killed and reaped.
+#[test]
+fn failed_spawn_kills_already_started_workers() {
+    let ctx = ctx();
+    let store = tmp_store("spawnfail");
+    let first_pid = std::sync::Arc::new(std::sync::atomic::AtomicU32::new(0));
+    let seen = first_pid.clone();
+    let spawner = move |i: usize, _sweep: &str| {
+        if i > 0 {
+            return Err(std::io::Error::other("spawn refused"));
+        }
+        let child = std::process::Command::new("sleep").arg("30").spawn()?;
+        seen.store(child.id(), std::sync::atomic::Ordering::SeqCst);
+        Ok(child)
+    };
+    let o = DistOptions {
+        workers: 2,
+        ..opts()
+    };
+    let out = run_distributed(
+        &ctx,
+        &store,
+        &configs(2, 4),
+        Value::Null,
+        &o,
+        Some(&spawner),
+    );
+    assert!(out.is_err(), "a failed spawn fails the sweep");
+    let pid = first_pid.load(std::sync::atomic::Ordering::SeqCst);
+    assert_ne!(pid, 0, "worker 0 was spawned");
+    assert!(
+        !std::path::Path::new(&format!("/proc/{pid}")).exists(),
+        "worker 0 (pid {pid}) outlived the coordinator"
+    );
 }

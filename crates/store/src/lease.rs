@@ -369,16 +369,23 @@ impl Drop for LeaseGuard {
     }
 }
 
+/// 64-bit FNV-1a hash of `text`: the deterministic, token-salted
+/// jitter behind [`backoff_ms`] and workers' job-scan offsets.
+pub fn fnv1a(text: &str) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in text.as_bytes() {
+        h ^= u64::from(*b);
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
 /// Deterministic backoff for lease contention: exponential base with
 /// token-salted jitter, so two racing workers never pick identical
 /// sleep schedules but each worker's schedule is fully reproducible.
 pub fn backoff_ms(attempt: u32, token: &str) -> u64 {
     let base = 10u64 << attempt.min(6); // 10, 20, 40, ... 640 ms
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in token.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
+    let mut h = fnv1a(token);
     h ^= u64::from(attempt);
     h = h.wrapping_mul(0x0100_0000_01b3);
     base + h % base

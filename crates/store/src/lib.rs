@@ -53,7 +53,7 @@ pub use journal::{
     JournalEvent, SweepRecord, TornTail,
 };
 pub use key::{canonical_json, canonicalize, run_key, RunKey, STORE_SCHEMA_VERSION};
-pub use lease::{backoff_ms, mint_token, ClaimOutcome, LeaseGuard, LeaseRecord, LeaseSet};
+pub use lease::{backoff_ms, fnv1a, mint_token, ClaimOutcome, LeaseGuard, LeaseRecord, LeaseSet};
 pub use lock::{StoreLock, LOCK_FILE};
 pub use manifest::RunManifest;
 pub use retry::RetryPolicy;
