@@ -1,17 +1,23 @@
 //! Versioned benchmark reports with baseline comparison.
 //!
-//! `secreta bench --all` emits a [`BenchReport`]: a schema-versioned
-//! JSON document carrying the suite parameters, a [`Machine`]
-//! fingerprint, a CPU-speed calibration constant, and one
-//! [`BenchCase`] per measured kernel. A report can later be fed back
-//! through `--baseline FILE`: [`compare`] checks that the two reports
-//! measured the same thing (schema, suite, rows, seed, threads) and
-//! returns per-case deltas of *calibration-normalized* wall times, so
+//! Every `secreta bench` suite emits a [`BenchReport`]: a
+//! schema-versioned JSON document carrying the suite parameters, a
+//! [`Machine`] fingerprint, a CPU-speed calibration constant, and one
+//! [`BenchCase`] per measured case with the spread of its repetitions.
+//! A report can later be fed back through `--baseline FILE`:
+//! [`compare`] checks that the two reports measured the same thing
+//! (schema, suite, rows, seed, threads, parameters) and returns
+//! per-case deltas of *calibration-normalized* minimum wall times, so
 //! a faster or slower CI machine shifts both sides of the ratio and
 //! the >25% regression gate tracks real slowdowns instead of host
 //! lottery.
+//!
+//! Fields added after the first layout are `#[serde(default)]`, so
+//! reports written before them (such as the committed gate baseline)
+//! still load and compare under the same [`SCHEMA_VERSION`].
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// Version of the report JSON layout. Bump on any breaking change to
@@ -22,7 +28,7 @@ pub const SCHEMA_VERSION: u32 = 1;
 /// normalization (that is what `calibration_ms` is for) — it exists so
 /// a human reading two reports can see when they came from different
 /// hardware.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Machine {
     /// `std::env::consts::OS` of the measuring process.
     pub os: String,
@@ -43,29 +49,100 @@ pub fn machine_fingerprint() -> Machine {
     }
 }
 
-/// One measured case of a suite run.
+/// One named phase of a measured run, in the order it ran.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BenchCase {
-    /// Stable case id, e.g. `tx/coat` or `metrics/gcp`.
-    pub id: String,
-    /// Best-of-`reps` wall time in milliseconds.
-    pub wall_ms: f64,
-    /// Repetitions measured (the minimum is reported).
-    pub reps: usize,
+pub struct Phase {
+    /// Phase name as the algorithm reports it.
+    pub name: String,
+    /// Wall time in milliseconds.
+    pub ms: f64,
 }
 
-/// A full `bench --all` result document.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The spread of one timed path over its repetitions.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct Timing {
+    /// Fastest repetition (ms).
+    pub wall_ms: f64,
+    /// Median repetition (ms).
+    pub median_ms: f64,
+    /// Slowest repetition (ms).
+    pub max_ms: f64,
+    /// Phase breakdown of the fastest repetition.
+    pub phases: Vec<Phase>,
+}
+
+impl Timing {
+    /// Summarize per-repetition `(wall_ms, phases)` samples; an empty
+    /// sample set gives the all-zero timing.
+    pub fn of(mut samples: Vec<(f64, Vec<Phase>)>) -> Timing {
+        samples.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let n = samples.len();
+        if n == 0 {
+            return Timing::default();
+        }
+        let median_ms = (samples[(n - 1) / 2].0 + samples[n / 2].0) / 2.0;
+        let max_ms = samples[n - 1].0;
+        let (wall_ms, phases) = samples.swap_remove(0);
+        Timing {
+            wall_ms,
+            median_ms,
+            max_ms,
+            phases,
+        }
+    }
+}
+
+/// One measured case of a suite run.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct BenchCase {
+    /// Stable case id, e.g. `tx/coat` or `apriori/1000`.
+    pub id: String,
+    /// Best-of-`reps` wall time in milliseconds — what [`compare`]
+    /// gates on.
+    pub wall_ms: f64,
+    /// Repetitions measured.
+    pub reps: usize,
+    /// Median repetition (ms).
+    #[serde(default)]
+    pub median_ms: f64,
+    /// Slowest repetition (ms).
+    #[serde(default)]
+    pub max_ms: f64,
+    /// Phase breakdown of the fastest repetition, in run order.
+    #[serde(default)]
+    pub phases: Vec<Phase>,
+    /// The reference path this case is measured against (naive
+    /// oracle, cold store, in-process run, …), when it has one.
+    #[serde(default)]
+    pub reference: Option<Timing>,
+    /// Whether this case published exactly the reference's output.
+    #[serde(default)]
+    pub outputs_identical: Option<bool>,
+    /// Scale cases: whether the point ran out of its memory budget.
+    #[serde(default)]
+    pub budget_exceeded: Option<bool>,
+    /// Scale cases: the typed error of an over-budget point.
+    #[serde(default)]
+    pub error: Option<String>,
+    /// Memory figures in bytes (scale cases: the accounted ingest
+    /// peak, the table footprint and the process peak RSS).
+    #[serde(default)]
+    pub bytes: BTreeMap<String, u64>,
+}
+
+/// A full `secreta bench` result document.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct BenchReport {
     /// Layout version — see [`SCHEMA_VERSION`].
     pub schema_version: u32,
     /// Suite name (`all` for the gate suite).
     pub suite: String,
-    /// Dataset rows every case ran at.
+    /// Largest dataset size measured (the only one for single-size
+    /// suites; the full `--rows` list is in `params`).
     pub rows: usize,
     /// Dataset seed.
     pub seed: u64,
-    /// Thread cap the suite ran with (0 = unpinned).
+    /// Thread cap the suite ran with.
     pub threads: usize,
     /// Where the report was measured.
     pub machine: Machine,
@@ -75,6 +152,10 @@ pub struct BenchReport {
     pub calibration_ms: f64,
     /// The measured cases.
     pub cases: Vec<BenchCase>,
+    /// Every other suite parameter (dataset, k, row list, what the
+    /// reference path is, …).
+    #[serde(default)]
+    pub params: BTreeMap<String, Value>,
 }
 
 /// Per-case outcome of [`compare`].
@@ -123,7 +204,8 @@ pub fn calibrate() -> f64 {
 /// Compare `new` against `base`: verify the reports measured the same
 /// suite under the same parameters, then return one [`CaseDelta`] per
 /// baseline case (order of the baseline). Errors on schema/parameter
-/// mismatch, on a non-positive calibration, and on a baseline case the
+/// mismatch (a baseline without `params` predates them and is checked
+/// on rows/seed/threads alone), on a non-positive calibration, and on a baseline case the
 /// new report no longer contains; extra new cases are ignored (adding
 /// a case must not fail old baselines).
 pub fn compare(base: &BenchReport, new: &BenchReport) -> Result<Vec<CaseDelta>, String> {
@@ -145,6 +227,12 @@ pub fn compare(base: &BenchReport, new: &BenchReport) -> Result<Vec<CaseDelta>, 
             "parameter mismatch: baseline rows={} seed={} threads={}, \
              new rows={} seed={} threads={}",
             base.rows, base.seed, base.threads, new.rows, new.seed, new.threads
+        ));
+    }
+    if !base.params.is_empty() && base.params != new.params {
+        return Err(format!(
+            "parameter mismatch: baseline {:?}, new {:?}",
+            base.params, new.params
         ));
     }
     // rejects NaN and infinities too, not just zero and negatives
@@ -200,8 +288,10 @@ mod tests {
                     id: id.to_owned(),
                     wall_ms,
                     reps: 3,
+                    ..Default::default()
                 })
                 .collect(),
+            ..Default::default()
         }
     }
 
@@ -255,8 +345,47 @@ mod tests {
             id: "new-case".to_owned(),
             wall_ms: 1.0,
             reps: 3,
+            ..Default::default()
         });
         assert_eq!(compare(&base, &other).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn committed_baseline_loads_and_gates_against_itself() {
+        let text = include_str!("../../../benches/baseline.json");
+        let base: BenchReport = serde_json::from_str(text).unwrap();
+        assert_eq!(base.schema_version, SCHEMA_VERSION);
+        assert!(base.params.is_empty() && base.cases.iter().all(|c| c.reference.is_none()));
+        let deltas = compare(&base, &base).unwrap();
+        assert_eq!(deltas.len(), base.cases.len());
+        assert!(regressions(&deltas, 25.0).is_empty());
+        // a report that records parameters is checked on them too
+        let mut with_params = base.clone();
+        with_params.params.insert("k".to_owned(), Value::U64(10));
+        assert!(compare(&base, &with_params).is_ok());
+        let mut other = with_params.clone();
+        other.params.insert("k".to_owned(), Value::U64(5));
+        assert!(compare(&with_params, &other).is_err());
+    }
+
+    #[test]
+    fn timing_summarizes_min_median_max() {
+        let phase = |ms| {
+            vec![Phase {
+                name: "run".to_owned(),
+                ms,
+            }]
+        };
+        let t = Timing::of(vec![
+            (3.0, phase(3.0)),
+            (1.0, phase(1.0)),
+            (2.0, phase(2.0)),
+        ]);
+        assert_eq!((t.wall_ms, t.median_ms, t.max_ms), (1.0, 2.0, 3.0));
+        assert_eq!(t.phases, phase(1.0));
+        let even = Timing::of(vec![(4.0, vec![]), (1.0, vec![])]);
+        assert_eq!((even.wall_ms, even.median_ms, even.max_ms), (1.0, 2.5, 4.0));
+        assert_eq!(Timing::of(Vec::new()), Timing::default());
     }
 
     #[test]

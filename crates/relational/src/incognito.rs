@@ -11,7 +11,7 @@
 //! implementation runs the size-1 subset stage (per-attribute minimum
 //! feasible levels) and then applies the same property directly on the
 //! pruned full-QI lattice. The kernel counting path additionally runs
-//! the size-2 subset stage ([`pair_subset_stage`]): cheap 2-attribute
+//! the size-2 subset stage (`pair_subset_stage`): cheap 2-attribute
 //! projections whose failures discard the class-heavy bottom of the
 //! lattice before any full partition is materialized. Subset stages
 //! only prune — the result set is identical to the original's: **all
