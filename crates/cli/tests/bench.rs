@@ -2,7 +2,7 @@
 //!
 //! A test binary of its own: cargo runs test binaries one after
 //! another, so these nine suites never load the machine while the
-//! timing-sensitive `bench --all` gate test in `cli.rs` runs.
+//! timing-sensitive `bench --all` gate test in `gate.rs` runs.
 
 use secreta_bench::report::{BenchReport, SCHEMA_VERSION};
 use std::process::Command;

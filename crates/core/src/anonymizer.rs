@@ -146,7 +146,11 @@ pub fn run(ctx: &SessionContext, spec: &MethodSpec, seed: u64) -> Result<RunResu
         secreta_faults::fault::delay("run");
     }
 
-    let (anon, phases, verified) = match spec {
+    // the guarantee is checked once, by the audit in `compute_risk`,
+    // and `verified` is its verdict; only the ρ arm runs a verifier
+    // here, because the ρ audit reports that verdict instead of
+    // re-mining rules (the other arms' `true` is never read)
+    let (anon, phases, rho_satisfied) = match spec {
         MethodSpec::Relational { algo, k } => {
             if ctx.qi_attrs.is_empty() {
                 return Err(RunError::BadConfig(
@@ -162,8 +166,7 @@ pub fn run(ctx: &SessionContext, spec: &MethodSpec, seed: u64) -> Result<RunResu
             let out = secreta_relational::RelationalAlgorithm::from(*algo)
                 .run(&input, seed)
                 .map_err(RunError::Rel)?;
-            let verified = secreta_relational::is_k_anonymous(&out.anon, *k);
-            (out.anon, out.phases, verified)
+            (out.anon, out.phases, true)
         }
         MethodSpec::Transaction { algo, k, m } => {
             if ctx.table.schema().transaction_index().is_none() {
@@ -182,8 +185,7 @@ pub fn run(ctx: &SessionContext, spec: &MethodSpec, seed: u64) -> Result<RunResu
             let out = secreta_transaction::TransactionAlgorithm::from(*algo)
                 .run(&input)
                 .map_err(RunError::Tx)?;
-            let verified = verify_transaction(ctx, *algo, &out.anon, *k, *m);
-            (out.anon, out.phases, verified)
+            (out.anon, out.phases, true)
         }
         MethodSpec::Rt {
             rel,
@@ -214,9 +216,7 @@ pub fn run(ctx: &SessionContext, spec: &MethodSpec, seed: u64) -> Result<RunResu
                 seed,
             };
             let out = secreta_rt::anonymize(&input).map_err(RunError::Rt)?;
-            let km_m = effective_m(*tx, *m);
-            let verified = secreta_rt::is_k_km_anonymous(&out.anon, *k, km_m);
-            (out.anon, out.phases, verified)
+            (out.anon, out.phases, true)
         }
         MethodSpec::Rho {
             rho,
@@ -280,8 +280,9 @@ pub fn run(ctx: &SessionContext, spec: &MethodSpec, seed: u64) -> Result<RunResu
 
     let indicators = {
         let _span = recorder.span("metrics");
-        let mut ind = compute_indicators(ctx, &anon, &phases, verified);
-        ind.risk = Some(compute_risk(ctx, spec, &anon, verified));
+        let risk = compute_risk(ctx, spec, &anon, rho_satisfied);
+        let mut ind = compute_indicators(ctx, &anon, &phases, risk.audit.passed);
+        ind.risk = Some(risk);
         ind
     };
     let profile = recorder.finish(&spec.label());
@@ -356,34 +357,6 @@ fn effective_m(algo: crate::config::TxAlgo, m: usize) -> usize {
     }
 }
 
-fn verify_transaction(
-    ctx: &SessionContext,
-    algo: crate::config::TxAlgo,
-    anon: &AnonTable,
-    k: usize,
-    m: usize,
-) -> bool {
-    match algo {
-        crate::config::TxAlgo::Coat | crate::config::TxAlgo::Pcta => {
-            let default;
-            let privacy = match &ctx.privacy {
-                Some(p) => p,
-                None => {
-                    default = PrivacyPolicy::all_items(&ctx.table);
-                    &default
-                }
-            };
-            secreta_transaction::satisfies_privacy(anon, privacy, k, ctx.item_hierarchy.as_ref())
-        }
-        other => secreta_transaction::is_km_anonymous(
-            anon,
-            k,
-            effective_m(other, m),
-            ctx.item_hierarchy.as_ref(),
-        ),
-    }
-}
-
 /// Compute the full indicator set for an anonymized table.
 pub fn compute_indicators(
     ctx: &SessionContext,
@@ -417,8 +390,10 @@ pub fn compute_indicators(
 /// `secreta-risk`: prosecutor/journalist re-identification over the
 /// relational classes, the m-item background-knowledge adversary over
 /// the transaction part, and a violation-counting audit of the
-/// guarantee `spec` claims. `verified` feeds the ρ-uncertainty audit,
-/// which reports the verifier's verdict rather than re-mining rules.
+/// guarantee `spec` claims — the one place a spec maps to its
+/// guarantee, checked `m` and default policy. `verified` feeds the
+/// ρ-uncertainty audit, which reports the verifier's verdict rather
+/// than re-mining rules; every other audit ignores it.
 pub fn compute_risk(
     ctx: &SessionContext,
     spec: &MethodSpec,
@@ -446,8 +421,7 @@ pub fn compute_risk(
             satisfied: verified,
         },
     };
-    // COAT/PCTA without an explicit policy protect every item (the
-    // same default `verify_transaction` audits against)
+    // COAT/PCTA without an explicit policy protect every item
     let default_policy;
     let privacy = match (&guarantee, &ctx.privacy) {
         (Guarantee::Policy { .. }, Some(p)) => Some(p),

@@ -1,21 +1,29 @@
 //! Constraint-violation audit: re-check the claimed guarantee on the
 //! published output and count how badly it fails.
 //!
-//! The framework's verifiers (`is_k_anonymous`, `is_km_anonymous`, …)
-//! answer pass/fail; the audit answers *how many* records / itemsets /
-//! constraints violate, which is what the risk indicators report as a
-//! hard error signal. The counting rules mirror the verifiers exactly,
-//! so `violations == 0 ⇔ passed` agrees with the `verified` indicator
-//! for the same guarantee.
+//! The audit owns no counting rules. It dispatches each [`Guarantee`]
+//! onto the violation counter of the crate that owns the guarantee —
+//! `secreta_relational::verify::k_violations`,
+//! `secreta_transaction::verify::{km_violations, policy_violations}`
+//! and `secreta_rt::verify::k_km_violations` — whose `== 0` is the
+//! matching verifier (`is_k_anonymous`, `is_km_anonymous`,
+//! `satisfies_privacy`, `is_k_km_anonymous`). `passed` is therefore the
+//! verifier's verdict by construction, and `anonymizer::run` reports it
+//! as the run's `verified` indicator. ρ-uncertainty is the exception:
+//! mining sensitive rules is the ρ verifiers' job, and the audit
+//! reports their verdict.
 
 use crate::Guarantee;
-use secreta_data::hash::FxHashMap;
 use secreta_hierarchy::Hierarchy;
 use secreta_metrics::{AnonTable, ConstraintAudit};
 use secreta_policy::PrivacyPolicy;
-use secreta_transaction::support::for_each_subset_u32;
+use secreta_relational::verify::k_violations;
+use secreta_rt::verify::k_km_violations;
+use secreta_transaction::verify::{km_violations, policy_violations};
 
-/// Re-check `guarantee` on `anon`, counting violations.
+/// Re-check `guarantee` on `anon`, counting violations. A
+/// [`Guarantee::Policy`] audit without a `privacy` policy has nothing
+/// to check.
 pub fn audit_guarantee(
     anon: &AnonTable,
     item_hierarchy: Option<&Hierarchy>,
@@ -30,11 +38,11 @@ pub fn audit_guarantee(
         ),
         Guarantee::Policy { k } => (
             format!("privacy-policy(k={k})"),
-            policy_violations(anon, item_hierarchy, privacy, *k),
+            privacy.map_or(0, |p| policy_violations(anon, p, *k, item_hierarchy)),
         ),
         Guarantee::KKmAnonymity { k, m } => (
             format!("(k,k^m)-anonymity(k={k},m={m})"),
-            k_violations(anon, *k) + km_violations(anon, *k, *m),
+            k_km_violations(anon, *k, *m),
         ),
         Guarantee::RhoUncertainty { rho, satisfied } => {
             (format!("rho-uncertainty(rho={rho})"), u64::from(!satisfied))
@@ -45,78 +53,6 @@ pub fn audit_guarantee(
         violations,
         passed: violations == 0,
     }
-}
-
-/// Records living in QI equivalence classes smaller than `k`.
-fn k_violations(anon: &AnonTable, k: usize) -> u64 {
-    if anon.rel.is_empty() {
-        return 0;
-    }
-    let (sizes, _) = anon.equivalence_classes();
-    sizes.iter().filter(|&&s| s < k).map(|&s| s as u64).sum()
-}
-
-/// Occurring published itemsets (sizes `1..=m`) with support `< k`.
-fn km_violations(anon: &AnonTable, k: usize, m: usize) -> u64 {
-    let tx = match &anon.tx {
-        Some(tx) => tx,
-        None => return 0,
-    };
-    let m = m.max(1);
-    let mut violations = 0u64;
-    for size in 1..=m {
-        let mut sup: FxHashMap<Vec<u32>, u32> = FxHashMap::default();
-        for row in 0..tx.n_rows() {
-            let items = tx.row_items(row);
-            if items.len() < size {
-                continue;
-            }
-            for_each_subset_u32(items, size, &mut |s| {
-                *sup.entry(s.to_vec()).or_insert(0) += 1;
-            });
-        }
-        violations += sup.values().filter(|&&c| (c as usize) < k).count() as u64;
-    }
-    violations
-}
-
-/// Privacy constraints with published support in `(0, k)`.
-fn policy_violations(
-    anon: &AnonTable,
-    item_hierarchy: Option<&Hierarchy>,
-    privacy: Option<&PrivacyPolicy>,
-    k: usize,
-) -> u64 {
-    let tx = match &anon.tx {
-        Some(tx) => tx,
-        None => return 0,
-    };
-    let privacy = match privacy {
-        Some(p) => p,
-        None => return 0,
-    };
-    let mut violations = 0u64;
-    for c in &privacy.constraints {
-        if c.is_empty() {
-            continue;
-        }
-        let mut sup = 0usize;
-        for row in 0..tx.n_rows() {
-            let items = tx.row_items(row);
-            let all_covered = c.iter().all(|it| {
-                items
-                    .iter()
-                    .any(|&g| tx.domain[g as usize].covers(it.0, item_hierarchy))
-            });
-            if all_covered {
-                sup += 1;
-            }
-        }
-        if sup > 0 && sup < k {
-            violations += 1;
-        }
-    }
-    violations
 }
 
 #[cfg(test)]

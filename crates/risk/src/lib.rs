@@ -23,8 +23,10 @@
 //!   the kernels are tested against.
 //! * [`audit`] — a **constraint-violation audit** that re-checks the
 //!   claimed guarantee (k-anonymity, k^m-anonymity, privacy policy,
-//!   ρ-uncertainty) on the output and reports the number of violations
-//!   as a hard error indicator.
+//!   (k, k^m)-anonymity, ρ-uncertainty) on the output and reports the
+//!   number of violations as a hard error indicator. It counts with
+//!   the violation counters of the algorithm crates, whose `== 0` is
+//!   their verifier, so `passed` is the verifier's verdict.
 //!
 //! Everything aggregates through integer accumulators (counts, sums,
 //! minima) with ratios computed once at the end, so the resulting
@@ -98,7 +100,7 @@ pub enum Guarantee {
         k: usize,
     },
     /// RT (k, k^m)-anonymity: relational k-anonymity plus transaction
-    /// k^m-anonymity on the same rows.
+    /// k^m-anonymity inside each relational equivalence class.
     KKmAnonymity {
         /// The minimum class size / itemset support.
         k: usize,

@@ -25,7 +25,7 @@ use secreta_data::hash::FxHashMap;
 use secreta_data::RtTable;
 use secreta_hierarchy::Hierarchy;
 use secreta_metrics::{AnonTable, GenEntry, MItemRisk, TransactionRisk};
-use secreta_transaction::support::{for_each_subset_u32, InvertedIndex, KernelStats};
+use secreta_transaction::support::{for_each_subset, InvertedIndex, KernelStats};
 use secreta_transaction::{Counting, RowSet};
 
 /// Rows per shard below which the parallel row walk stays sequential.
@@ -259,7 +259,7 @@ fn kernel_attack(
                     worst = ordered[distinct[0] as usize].len() as u64;
                     acc.work.subsets += 1;
                 } else {
-                    for_each_subset_u32(&distinct, size, &mut |s| {
+                    for_each_subset(&distinct, size, &mut |s| {
                         if worst == 0 {
                             return;
                         }
@@ -355,7 +355,7 @@ fn naive_attack(
                 continue;
             }
             let mut worst = u64::MAX;
-            for_each_subset_u32(&items, m_eff, &mut |s| {
+            for_each_subset(&items, m_eff, &mut |s| {
                 if worst == 0 {
                     return;
                 }

@@ -1,7 +1,12 @@
 //! Post-hoc verification of (k, k^m)-anonymity.
+//!
+//! [`k_km_violations`] is the one counter; it reuses the relational
+//! class counter and the transaction itemset counter, the latter once
+//! per class. The verifier is that counter `== 0`.
 
-use secreta_data::hash::FxHashMap;
 use secreta_metrics::AnonTable;
+use secreta_relational::verify::k_violations;
+use secreta_transaction::verify::km_violations_in;
 
 /// Is `anon` (k, k^m)-anonymous?
 ///
@@ -11,61 +16,27 @@ use secreta_metrics::AnonTable;
 ///   items occurring in some row of the class occurs in at least `k`
 ///   rows of that class.
 pub fn is_k_km_anonymous(anon: &AnonTable, k: usize, m: usize) -> bool {
-    if anon.n_rows == 0 {
-        return true;
-    }
-    let (sizes, row_class) = anon.equivalence_classes();
-    if sizes.iter().any(|&s| s < k) {
-        return false;
-    }
+    k_km_violations(anon, k, m) == 0
+}
+
+/// Records in classes smaller than `k`, plus, per class, the occurring
+/// itemsets of 1..=m published items with class-local support below
+/// `k`.
+pub fn k_km_violations(anon: &AnonTable, k: usize, m: usize) -> u64 {
+    let mut violations = k_violations(anon, k);
     let tx = match &anon.tx {
         Some(tx) => tx,
-        None => return true,
+        None => return violations,
     };
-    let m = m.max(1);
-
-    // per class, count subset supports of published gen items
+    let (sizes, row_class) = anon.equivalence_classes();
     let mut class_rows: Vec<Vec<usize>> = vec![Vec::new(); sizes.len()];
     for (row, &c) in row_class.iter().enumerate() {
         class_rows[c as usize].push(row);
     }
     for rows in &class_rows {
-        for i in 1..=m {
-            let mut sup: FxHashMap<Vec<u32>, usize> = FxHashMap::default();
-            for &row in rows {
-                let items = tx.row_items(row);
-                if items.len() < i {
-                    continue;
-                }
-                subsets(items, i, &mut |s| {
-                    *sup.entry(s.to_vec()).or_insert(0) += 1;
-                });
-            }
-            if sup.values().any(|&c| c < k) {
-                return false;
-            }
-        }
+        violations += km_violations_in(tx, rows.iter().copied(), k, m);
     }
-    true
-}
-
-fn subsets(items: &[u32], i: usize, f: &mut impl FnMut(&[u32])) {
-    fn rec(items: &[u32], i: usize, start: usize, cur: &mut Vec<u32>, f: &mut impl FnMut(&[u32])) {
-        if cur.len() == i {
-            f(cur);
-            return;
-        }
-        let need = i - cur.len();
-        for idx in start..=items.len().saturating_sub(need) {
-            cur.push(items[idx]);
-            rec(items, i, idx + 1, cur, f);
-            cur.pop();
-        }
-    }
-    if i == 0 || i > items.len() {
-        return;
-    }
-    rec(items, i, 0, &mut Vec::with_capacity(i), f);
+    violations
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@
 //! heuristic of the original.
 
 use crate::common::{TransactionInput, TxError, TxOutput};
-use crate::support::{Counting, InvertedIndex, KernelStats, RowSupport};
+use crate::support::{for_each_subset, Counting, InvertedIndex, KernelStats, RowSupport};
 use secreta_data::hash::FxHashMap;
 use secreta_data::ItemId;
 use secreta_hierarchy::{Cut, Hierarchy, NodeId};
@@ -312,35 +312,6 @@ fn aa_level_kernel(
     stats.absorb(&rs.stats);
 }
 
-/// Invoke `f` on every `i`-sized subset of `items` (which is sorted
-/// and duplicate-free).
-pub(crate) fn for_each_subset(items: &[NodeId], i: usize, f: &mut impl FnMut(&[NodeId])) {
-    fn rec(
-        items: &[NodeId],
-        i: usize,
-        start: usize,
-        cur: &mut Vec<NodeId>,
-        f: &mut impl FnMut(&[NodeId]),
-    ) {
-        if cur.len() == i {
-            f(cur);
-            return;
-        }
-        let need = i - cur.len();
-        // prune: not enough items left
-        for idx in start..=items.len().saturating_sub(need) {
-            cur.push(items[idx]);
-            rec(items, i, idx + 1, cur, f);
-            cur.pop();
-        }
-    }
-    if i == 0 || i > items.len() {
-        return;
-    }
-    let mut cur = Vec::with_capacity(i);
-    rec(items, i, 0, &mut cur, f);
-}
-
 /// Run plain AA on `input` (global recoding, all rows) with the
 /// kernelized support counters.
 pub fn anonymize(input: &TransactionInput) -> Result<TxOutput, TxError> {
@@ -530,8 +501,12 @@ mod tests {
         let mut none = 0;
         for_each_subset(&items, 5, &mut |_| none += 1);
         assert_eq!(none, 0);
-        for_each_subset(&items, 0, &mut |_| none += 1);
-        assert_eq!(none, 0);
+        // size 0 yields the empty subset once; AA only asks for 1..=m
+        for_each_subset(&items, 0, &mut |s| {
+            assert!(s.is_empty());
+            none += 1
+        });
+        assert_eq!(none, 1);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! baseline configuration.
 
 use crate::common::{TransactionInput, TxError, TxOutput};
-use crate::support::{Counting, InvertedIndex, RuleCounts};
+use crate::support::{for_each_subset, Counting, InvertedIndex, RuleCounts};
 use secreta_data::hash::{FxHashMap, FxHashSet};
 use secreta_data::{stats::item_supports, ItemId, RtTable};
 use secreta_metrics::anon::AnonTransaction;
@@ -108,7 +108,7 @@ fn violations(
         // enumerate antecedents of size 0..=max_antecedent over live
         // items (the empty antecedent models prior disclosure)
         for size in 0..=params.max_antecedent.min(live.len()) {
-            enumerate_subsets(&live, size, &mut |q| {
+            for_each_subset(&live, size, &mut |q| {
                 *sup_q.entry(q.to_vec()).or_insert(0) += 1;
                 for &s in &present_sensitive {
                     if !q.contains(&s) {
@@ -132,31 +132,6 @@ fn violations(
         }
     }
     out
-}
-
-fn enumerate_subsets(items: &[u32], size: usize, f: &mut impl FnMut(&[u32])) {
-    fn rec(
-        items: &[u32],
-        size: usize,
-        start: usize,
-        cur: &mut Vec<u32>,
-        f: &mut impl FnMut(&[u32]),
-    ) {
-        if cur.len() == size {
-            f(cur);
-            return;
-        }
-        let need = size - cur.len();
-        for i in start..=items.len().saturating_sub(need) {
-            cur.push(items[i]);
-            rec(items, size, i + 1, cur, f);
-            cur.pop();
-        }
-    }
-    if size > items.len() {
-        return;
-    }
-    rec(items, size, 0, &mut Vec::with_capacity(size), f);
 }
 
 /// Pick the suppression victim from a round's kill counts: the item

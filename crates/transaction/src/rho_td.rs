@@ -18,7 +18,7 @@
 
 use crate::common::{TransactionInput, TxError, TxOutput};
 use crate::rho::RhoParams;
-use crate::support::{Counting, InvertedIndex, KernelStats, RuleCounts};
+use crate::support::{for_each_subset, Counting, InvertedIndex, KernelStats, RuleCounts};
 use secreta_data::hash::{FxHashMap, FxHashSet};
 use secreta_data::{ItemId, RtTable};
 use secreta_hierarchy::{Cut, NodeId};
@@ -141,7 +141,7 @@ impl State {
                 })
                 .collect();
             for size in 0..=params.max_antecedent.min(toks.len()) {
-                subsets(&toks, size, &mut |q| {
+                for_each_subset(&toks, size, &mut |q| {
                     *sup_q.entry(q.to_vec()).or_insert(0) += 1;
                     for &s in &present_sensitive {
                         if !q.contains(&Token::Sensitive(s)) {
@@ -156,31 +156,6 @@ impl State {
             qs as f64 / q_sup as f64 >= params.rho
         })
     }
-}
-
-fn subsets(items: &[Token], size: usize, f: &mut impl FnMut(&[Token])) {
-    fn rec(
-        items: &[Token],
-        size: usize,
-        start: usize,
-        cur: &mut Vec<Token>,
-        f: &mut impl FnMut(&[Token]),
-    ) {
-        if cur.len() == size {
-            f(cur);
-            return;
-        }
-        let need = size - cur.len();
-        for i in start..=items.len().saturating_sub(need) {
-            cur.push(items[i]);
-            rec(items, size, i + 1, cur, f);
-            cur.pop();
-        }
-    }
-    if size > items.len() {
-        return;
-    }
-    rec(items, size, 0, &mut Vec::with_capacity(size), f);
 }
 
 /// Run TDControl on `input` with `params` using the kernelized
@@ -462,7 +437,7 @@ pub fn is_rho_uncertain_published(_table: &RtTable, anon: &AnonTable, params: &R
             .filter_map(|&g| target_of[g as usize])
             .collect();
         for size in 0..=params.max_antecedent.min(items.len()) {
-            subsets_u32(items, size, &mut |q| {
+            for_each_subset(items, size, &mut |q| {
                 *sup_q.entry(q.to_vec()).or_insert(0) += 1;
                 for &s in &present {
                     // the antecedent may not contain the target itself
@@ -478,31 +453,6 @@ pub fn is_rho_uncertain_published(_table: &RtTable, anon: &AnonTable, params: &R
         let q_sup = *sup_q.get(q).expect("antecedent counted");
         qs as f64 / q_sup as f64 >= params.rho
     })
-}
-
-fn subsets_u32(items: &[u32], size: usize, f: &mut impl FnMut(&[u32])) {
-    fn rec(
-        items: &[u32],
-        size: usize,
-        start: usize,
-        cur: &mut Vec<u32>,
-        f: &mut impl FnMut(&[u32]),
-    ) {
-        if cur.len() == size {
-            f(cur);
-            return;
-        }
-        let need = size - cur.len();
-        for i in start..=items.len().saturating_sub(need) {
-            cur.push(items[i]);
-            rec(items, size, i + 1, cur, f);
-            cur.pop();
-        }
-    }
-    if size > items.len() {
-        return;
-    }
-    rec(items, size, 0, &mut Vec::with_capacity(size), f);
 }
 
 #[cfg(test)]

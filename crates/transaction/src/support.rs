@@ -310,16 +310,17 @@ impl SupportMap {
 }
 
 /// Invoke `f` on every sorted `size`-subset of `items` (sorted,
-/// duplicate-free). Unlike `apriori::for_each_subset`, `size == 0`
-/// yields the empty subset once — the ρ-uncertainty miners use it to
-/// model prior (no-background-knowledge) disclosure.
-pub fn for_each_subset_u32(items: &[u32], size: usize, f: &mut impl FnMut(&[u32])) {
-    fn rec(
-        items: &[u32],
+/// duplicate-free), in lexicographic order. `size == 0` yields the
+/// empty subset once — the ρ-uncertainty miners use it to model prior
+/// (no-background-knowledge) disclosure; `size > items.len()` yields
+/// nothing.
+pub fn for_each_subset<T: Copy>(items: &[T], size: usize, f: &mut impl FnMut(&[T])) {
+    fn rec<T: Copy>(
+        items: &[T],
         size: usize,
         start: usize,
-        cur: &mut Vec<u32>,
-        f: &mut impl FnMut(&[u32]),
+        cur: &mut Vec<T>,
+        f: &mut impl FnMut(&[T]),
     ) {
         if cur.len() == size {
             f(cur);
@@ -335,8 +336,7 @@ pub fn for_each_subset_u32(items: &[u32], size: usize, f: &mut impl FnMut(&[u32]
     if size > items.len() {
         return;
     }
-    let mut cur = Vec::with_capacity(size);
-    rec(items, size, 0, &mut cur, f);
+    rec(items, size, 0, &mut Vec::with_capacity(size), f);
 }
 
 /// Tiered CSR inverted index: item id → sorted positions (into the
@@ -726,7 +726,7 @@ impl RowSupport {
                 buf.clear();
                 fill(pos, &mut buf);
                 if buf.len() >= size {
-                    for_each_subset_u32(&buf, size, &mut |s| {
+                    for_each_subset(&buf, size, &mut |s| {
                         map.add(s, 1);
                     });
                 }
@@ -771,14 +771,14 @@ impl RowSupport {
             let old = std::mem::take(&mut self.lists[pos]);
             let map = &mut self.map;
             if old.len() >= self.size {
-                for_each_subset_u32(&old, self.size, &mut |s| {
+                for_each_subset(&old, self.size, &mut |s| {
                     map.add_signed(s, -1);
                 });
             }
             buf.clear();
             fill(pos, &mut buf);
             if buf.len() >= self.size {
-                for_each_subset_u32(&buf, self.size, &mut |s| {
+                for_each_subset(&buf, self.size, &mut |s| {
                     map.add(s, 1);
                 });
             }
@@ -891,7 +891,7 @@ impl RuleCounts {
             let sup_q = &mut self.sup_q;
             let sup_qs = &mut self.sup_qs;
             let targets = &targets[..];
-            for_each_subset_u32(toks, size, &mut |q| {
+            for_each_subset(toks, size, &mut |q| {
                 let token = sup_q.add_signed(q, delta);
                 for &s in targets {
                     if !q.contains(&s) {
@@ -1177,13 +1177,13 @@ mod tests {
     #[test]
     fn subsets_include_empty_at_size_zero() {
         let mut n = 0;
-        for_each_subset_u32(&[1, 2, 3], 0, &mut |s| {
+        for_each_subset(&[1, 2, 3], 0, &mut |s| {
             assert!(s.is_empty());
             n += 1;
         });
         assert_eq!(n, 1);
         let mut pairs = Vec::new();
-        for_each_subset_u32(&[1, 2, 3], 2, &mut |s| pairs.push(s.to_vec()));
+        for_each_subset(&[1, 2, 3], 2, &mut |s| pairs.push(s.to_vec()));
         assert_eq!(pairs, vec![vec![1, 2], vec![1, 3], vec![2, 3]]);
     }
 
@@ -1397,7 +1397,7 @@ mod tests {
                 if sorted.len() < size {
                     continue;
                 }
-                for_each_subset_u32(&sorted, size, &mut |s| {
+                for_each_subset(&sorted, size, &mut |s| {
                     *naive.entry(s.to_vec()).or_insert(0) += 1;
                     kernel.add(s, 1);
                 });

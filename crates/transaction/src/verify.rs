@@ -1,8 +1,13 @@
 //! Post-hoc verification of transaction privacy guarantees.
+//!
+//! Each guarantee has one violation counter here; its verifier is that
+//! counter `== 0`, and the risk audit (`secreta_risk::audit`) reports
+//! the same count, so `verified` and the audit can never disagree.
 
-use crate::apriori::for_each_subset;
+use crate::support::for_each_subset;
 use secreta_data::hash::FxHashMap;
-use secreta_hierarchy::{Hierarchy, NodeId};
+use secreta_hierarchy::Hierarchy;
+use secreta_metrics::anon::AnonTransaction;
 use secreta_metrics::AnonTable;
 use secreta_policy::PrivacyPolicy;
 
@@ -19,29 +24,39 @@ pub fn is_km_anonymous(
     m: usize,
     _tx_hierarchy: Option<&Hierarchy>,
 ) -> bool {
-    let tx = match &anon.tx {
-        Some(tx) => tx,
-        None => return true,
-    };
-    let m = m.max(1);
-    for i in 1..=m {
-        let mut sup: FxHashMap<Vec<NodeId>, u32> = FxHashMap::default();
-        for row in 0..tx.n_rows() {
-            let items = tx.row_items(row);
-            if items.len() < i {
-                continue;
-            }
-            // reuse the subset enumerator via a NodeId view of gen ids
-            let view: Vec<NodeId> = items.iter().map(|&g| NodeId(g)).collect();
-            for_each_subset(&view, i, &mut |s| {
+    km_violations(anon, k, m) == 0
+}
+
+/// Occurring published itemsets of sizes `1..=m` (`m` at least 1) with
+/// support below `k`. A table without a transaction part has none.
+pub fn km_violations(anon: &AnonTable, k: usize, m: usize) -> u64 {
+    match &anon.tx {
+        Some(tx) => km_violations_in(tx, 0..tx.n_rows(), k, m),
+        None => 0,
+    }
+}
+
+/// [`km_violations`] over the published transactions of `rows` only,
+/// with supports counted among those rows (the per-class check of
+/// (k, k^m)-anonymity).
+pub fn km_violations_in(
+    tx: &AnonTransaction,
+    rows: impl Iterator<Item = usize> + Clone,
+    k: usize,
+    m: usize,
+) -> u64 {
+    let mut violations = 0u64;
+    let mut sup: FxHashMap<Vec<u32>, u32> = FxHashMap::default();
+    for size in 1..=m.max(1) {
+        sup.clear();
+        for row in rows.clone() {
+            for_each_subset(tx.row_items(row), size, &mut |s| {
                 *sup.entry(s.to_vec()).or_insert(0) += 1;
             });
         }
-        if sup.values().any(|&c| (c as usize) < k) {
-            return false;
-        }
+        violations += sup.values().filter(|&&c| (c as usize) < k).count() as u64;
     }
-    true
+    violations
 }
 
 /// Does the published output satisfy `privacy` at level `k`?
@@ -56,28 +71,38 @@ pub fn satisfies_privacy(
     k: usize,
     tx_hierarchy: Option<&Hierarchy>,
 ) -> bool {
+    policy_violations(anon, privacy, k, tx_hierarchy) == 0
+}
+
+/// Non-empty privacy constraints whose published support lies in
+/// `(0, k)`. Without a transaction part no constraint can be checked,
+/// so every constraint counts.
+pub fn policy_violations(
+    anon: &AnonTable,
+    privacy: &PrivacyPolicy,
+    k: usize,
+    tx_hierarchy: Option<&Hierarchy>,
+) -> u64 {
     let tx = match &anon.tx {
         Some(tx) => tx,
-        None => return privacy.is_empty(),
+        None => return privacy.constraints.len() as u64,
     };
-    for c in &privacy.constraints {
-        let mut sup = 0usize;
-        for row in 0..tx.n_rows() {
-            let items = tx.row_items(row);
-            let all_covered = c.iter().all(|it| {
-                items
-                    .iter()
-                    .any(|&g| tx.domain[g as usize].covers(it.0, tx_hierarchy))
-            });
-            if all_covered && !c.is_empty() {
-                sup += 1;
-            }
-        }
+    let covered = |row: usize, c: &[secreta_data::ItemId]| {
+        let items = tx.row_items(row);
+        c.iter().all(|it| {
+            items
+                .iter()
+                .any(|&g| tx.domain[g as usize].covers(it.0, tx_hierarchy))
+        })
+    };
+    let mut violations = 0u64;
+    for c in privacy.constraints.iter().filter(|c| !c.is_empty()) {
+        let sup = (0..tx.n_rows()).filter(|&row| covered(row, c)).count();
         if sup > 0 && sup < k {
-            return false;
+            violations += 1;
         }
     }
-    true
+    violations
 }
 
 #[cfg(test)]

@@ -171,11 +171,8 @@ mod tests {
                     })
                     .collect();
                 for i in 1..=2usize.min(mine.len()) {
-                    let view: Vec<secreta_hierarchy::NodeId> =
-                        mine.iter().map(|&g| secreta_hierarchy::NodeId(g)).collect();
-                    crate::apriori::for_each_subset(&view, i, &mut |s| {
-                        let key: Vec<u32> = s.iter().map(|n| n.0).collect();
-                        *sup.entry(key).or_insert(0) += 1;
+                    crate::support::for_each_subset(&mine, i, &mut |s| {
+                        *sup.entry(s.to_vec()).or_insert(0) += 1;
                     });
                 }
             }
