@@ -13,8 +13,8 @@
 //! lottery.
 //!
 //! Fields added after the first layout are `#[serde(default)]`, so
-//! reports written before them (such as the committed gate baseline)
-//! still load and compare under the same [`SCHEMA_VERSION`].
+//! reports written before them still load and compare under the same
+//! [`SCHEMA_VERSION`].
 
 use serde::{Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
@@ -355,7 +355,11 @@ mod tests {
         let text = include_str!("../../../benches/baseline.json");
         let base: BenchReport = serde_json::from_str(text).unwrap();
         assert_eq!(base.schema_version, SCHEMA_VERSION);
-        assert!(base.params.is_empty() && base.cases.iter().all(|c| c.reference.is_none()));
+        assert!(base.cases.iter().all(|c| c.reference.is_none()));
+        // `secreta bench --all` records the gate's fixed workload in the
+        // baseline, so `compare` refuses a run measured on another
+        let params: Vec<&str> = base.params.keys().map(String::as_str).collect();
+        assert_eq!(params, ["items", "k", "m", "rows"]);
         let deltas = compare(&base, &base).unwrap();
         assert_eq!(deltas.len(), base.cases.len());
         assert!(regressions(&deltas, 25.0).is_empty());

@@ -1100,6 +1100,12 @@ fn all(b: &mut Bench) -> Result<(), String> {
     let input = rel_input(&rel_ctx, k);
     // a finished Cluster run feeds the metrics/gcp case
     let rel_out = rel::cluster::anonymize(&input, seed).map_err(|e| e.to_string())?;
+    // ... and the metrics/are case, over a fixed 50-query workload
+    let workload = WorkloadSpec {
+        n_queries: 50,
+        ..Default::default()
+    }
+    .generate(&rel_ctx.table);
     // the gate's basket workload is fixed: the baseline must match it
     let (items, m) = (80, 2);
     b.param("items", items);
@@ -1131,6 +1137,16 @@ fn all(b: &mut Bench) -> Result<(), String> {
             std::hint::black_box(g);
         }
         Ok(Run::of(()))
+    })?;
+    b.single("metrics/are".to_owned(), || {
+        let are = secreta_core::metrics::average_relative_error(
+            &rel_ctx.table,
+            &rel_out.anon,
+            &workload,
+            |a| rel_ctx.hierarchy_of(a).cloned(),
+            None,
+        );
+        Ok(Run::of(std::hint::black_box(are)))
     })?;
     Ok(())
 }

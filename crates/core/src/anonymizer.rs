@@ -280,7 +280,9 @@ pub fn run(ctx: &SessionContext, spec: &MethodSpec, seed: u64) -> Result<RunResu
 
     let indicators = {
         let _span = recorder.span("metrics");
-        let risk = compute_risk(ctx, spec, &anon, rho_satisfied);
+        let risk = in_span(&recorder, "risk", || {
+            compute_risk(ctx, spec, &anon, rho_satisfied)
+        });
         let mut ind = compute_indicators(ctx, &anon, &phases, risk.audit.passed);
         ind.risk = Some(risk);
         ind
@@ -357,33 +359,48 @@ fn effective_m(algo: crate::config::TxAlgo, m: usize) -> usize {
     }
 }
 
-/// Compute the full indicator set for an anonymized table.
+/// Compute the full indicator set for an anonymized table, each
+/// indicator under its own span (`gcp`, `tx_gcp`, `ul`, `are`, `freq`,
+/// `classes`) of the calling thread's recorder.
 pub fn compute_indicators(
     ctx: &SessionContext,
     anon: &AnonTable,
     phases: &PhaseTimes,
     verified: bool,
 ) -> Indicators {
+    let recorder = secreta_obsv::current();
     let hierarchy_of = |attr: usize| ctx.hierarchy_of(attr).cloned();
     let item_h = ctx.item_hierarchy.as_ref();
+    let table = &ctx.table;
+    let gcp = in_span(&recorder, "gcp", || gcp(table, anon, hierarchy_of));
+    let tx_gcp = in_span(&recorder, "tx_gcp", || transaction_gcp(table, anon, item_h));
+    let ul = in_span(&recorder, "ul", || utility_loss(table, anon, item_h));
+    let are = in_span(&recorder, "are", || {
+        average_relative_error(table, anon, &ctx.workload, hierarchy_of, item_h)
+    });
+    let item_freq_error = in_span(&recorder, "freq", || {
+        freq::mean_item_frequency_error(table, anon, item_h)
+    });
+    let (discernibility, avg_class_size) =
+        in_span(&recorder, "classes", || loss::class_measures(anon));
     Indicators {
-        gcp: gcp(&ctx.table, anon, hierarchy_of),
-        tx_gcp: transaction_gcp(&ctx.table, anon, item_h),
-        ul: utility_loss(&ctx.table, anon, item_h),
-        are: average_relative_error(
-            &ctx.table,
-            anon,
-            &ctx.workload,
-            |attr| ctx.hierarchy_of(attr).cloned(),
-            item_h,
-        ),
-        item_freq_error: freq::mean_item_frequency_error(&ctx.table, anon, item_h),
-        discernibility: loss::discernibility(anon),
-        avg_class_size: loss::average_class_size(anon),
+        gcp,
+        tx_gcp,
+        ul,
+        are,
+        item_freq_error,
+        discernibility,
+        avg_class_size,
         runtime_ms: phases.total().as_secs_f64() * 1e3,
         verified,
         risk: None,
     }
+}
+
+/// Run `f` inside a span called `name` of `recorder`.
+fn in_span<T>(recorder: &secreta_obsv::Recorder, name: &str, f: impl FnOnce() -> T) -> T {
+    let _span = recorder.span(name);
+    f()
 }
 
 /// Attack the anonymized output with the adversary models of
@@ -649,6 +666,20 @@ mod tests {
             "sub-algorithm phases adopt into the outer phase: {rel:?}"
         );
         assert!(p.counter("rt/clusters").unwrap_or(0) > 0);
+        // the metrics phase names each indicator it computes
+        let metrics = &p.spans[4];
+        let children: Vec<&str> = metrics.children.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(
+            children,
+            ["risk", "gcp", "tx_gcp", "ul", "are", "freq", "classes"]
+        );
+        let queries = ctx.workload.len() as u64;
+        assert_eq!(p.counter("metrics/queries"), Some(queries));
+        assert_eq!(
+            p.counter("metrics/are_rows"),
+            Some(queries * ctx.table.n_rows() as u64)
+        );
+        assert!(p.counter("metrics/are_table_entries").unwrap_or(0) > 0);
         // identical run, same seed: indicators must not change when
         // observability is on (recording is passive)
         let base = run(&rt_ctx(), &spec, 1).unwrap();

@@ -297,11 +297,16 @@ impl AnonTable {
             for col in &self.rel {
                 sig.push(col.cells[row]);
             }
-            let next = sizes.len() as u32;
-            let class = *classes.entry(sig.clone()).or_insert(next);
-            if class as usize == sizes.len() {
-                sizes.push(0);
-            }
+            // clone the signature only when it opens a new class
+            let class = match classes.get(sig.as_slice()) {
+                Some(&class) => class,
+                None => {
+                    let class = sizes.len() as u32;
+                    classes.insert(sig.clone(), class);
+                    sizes.push(0);
+                    class
+                }
+            };
             sizes[class as usize] += 1;
             *slot = class;
         }
@@ -312,6 +317,8 @@ impl AnonTable {
     /// generalized value — the *data truthfulness* invariant the paper
     /// highlights. Also verifies transaction occurrences. Used in
     /// tests and as a post-run sanity check in the core framework.
+    ///
+    /// `rel_hierarchies` is called at most once per anonymized column.
     pub fn is_truthful(
         &self,
         table: &RtTable,

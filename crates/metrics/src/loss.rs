@@ -23,6 +23,7 @@ use secreta_hierarchy::Hierarchy;
 ///
 /// `hierarchy_of(attr)` supplies the hierarchy for attributes recoded
 /// with `GenEntry::Node` (may return `None` for set-recoded columns).
+/// It is called at most once per anonymized column.
 pub fn gcp(
     table: &RtTable,
     anon: &AnonTable,
@@ -158,19 +159,26 @@ pub fn utility_loss(table: &RtTable, anon: &AnonTable, tx_hierarchy: Option<&Hie
 /// Discernibility metric: `Σ |EC|²` over relational equivalence
 /// classes. Lower is better; minimum is `n` (all classes singletons).
 pub fn discernibility(anon: &AnonTable) -> u64 {
-    let (sizes, _) = anon.equivalence_classes();
-    sizes.iter().map(|&s| (s as u64) * (s as u64)).sum()
+    class_measures(anon).0
 }
 
 /// Average relational equivalence-class size (`C_avg`). 0.0 for empty
 /// tables.
 pub fn average_class_size(anon: &AnonTable) -> f64 {
+    class_measures(anon).1
+}
+
+/// [`discernibility`] and [`average_class_size`] from one pass over the
+/// equivalence classes.
+pub fn class_measures(anon: &AnonTable) -> (u64, f64) {
     let (sizes, _) = anon.equivalence_classes();
-    if sizes.is_empty() {
+    let discernibility = sizes.iter().map(|&s| (s as u64) * (s as u64)).sum();
+    let average = if sizes.is_empty() {
         0.0
     } else {
         anon.n_rows as f64 / sizes.len() as f64
-    }
+    };
+    (discernibility, average)
 }
 
 #[cfg(test)]

@@ -80,6 +80,11 @@ impl Query {
     /// `rel_hierarchy(attr)` / `tx_hierarchy` supply hierarchies for
     /// node-recoded columns. Attributes absent from `anon.rel` are
     /// assumed published unchanged and answered exactly from `table`.
+    ///
+    /// This is the naive per-row estimator: it looks the hierarchy up
+    /// for every row of every anonymized attribute. It serves as the
+    /// oracle twin of the tabulated estimator behind
+    /// [`average_relative_error`], which must agree with it bit for bit.
     pub fn estimate(
         &self,
         table: &RtTable,
@@ -95,73 +100,163 @@ impl Query {
                     break;
                 }
                 match atom {
-                    QueryAtom::Rel { attr, values } => {
-                        match anon.rel_column(*attr) {
-                            Some(col) => {
-                                let entry = col.entry(row);
-                                let h = rel_hierarchy(*attr);
-                                let s = entry.leaf_count(h.as_ref());
-                                if s == 0 {
-                                    p = 0.0;
-                                    continue;
-                                }
-                                let hits = values
-                                    .iter()
-                                    .filter(|&&v| entry.covers(v, h.as_ref()))
-                                    .count();
-                                p *= hits as f64 / s as f64;
+                    QueryAtom::Rel { attr, values } => match anon.rel_column(*attr) {
+                        Some(col) => {
+                            let entry = col.entry(row);
+                            let h = rel_hierarchy(*attr);
+                            let s = entry.leaf_count(h.as_ref());
+                            if s == 0 {
+                                p = 0.0;
+                                continue;
                             }
-                            None => {
-                                // attribute published unchanged
-                                let v = table.value(row, *attr).0;
-                                if values.binary_search(&v).is_err() {
-                                    p = 0.0;
-                                }
-                            }
+                            let hits = values
+                                .iter()
+                                .filter(|&&v| entry.covers(v, h.as_ref()))
+                                .count();
+                            p *= hits as f64 / s as f64;
                         }
-                    }
-                    QueryAtom::Items { items } => match &anon.tx {
-                        Some(tx) => {
-                            let row_items = tx.row_items(row);
-                            let mult = tx.row_multiplicity(row);
-                            for queried in items {
-                                if tx.suppressed.binary_search(queried).is_ok() {
-                                    p = 0.0;
-                                    break;
-                                }
-                                // probability the queried item is among
-                                // this row's original items
-                                let mut pa = 0.0f64;
-                                for (pos, &g) in row_items.iter().enumerate() {
-                                    let entry = &tx.domain[g as usize];
-                                    if entry.covers(queried.0, tx_hierarchy) {
-                                        let s = entry.leaf_count(tx_hierarchy).max(1);
-                                        pa = (mult[pos] as f64 / s as f64).min(1.0);
-                                        break;
-                                    }
-                                }
-                                p *= pa;
-                                if p == 0.0 {
-                                    break;
-                                }
-                            }
-                        }
-                        None => {
-                            // transaction attribute published unchanged
-                            let tx_orig = table.transaction(row);
-                            for it in items {
-                                if tx_orig.binary_search(it).is_err() {
-                                    p = 0.0;
-                                    break;
-                                }
-                            }
-                        }
+                        None => apply_row_atom(atom, row, table, anon, tx_hierarchy, &mut p),
                     },
+                    QueryAtom::Items { .. } => {
+                        apply_row_atom(atom, row, table, anon, tx_hierarchy, &mut p)
+                    }
                 }
             }
             total += p;
         }
         total
+    }
+
+    /// Estimated COUNT with every anonymized relational atom tabulated
+    /// over its column's generalized domain: the row loop multiplies by
+    /// `prob[cell]` where [`Query::estimate`] recomputes the same
+    /// quotient per row. `hierarchies` is parallel to `anon.rel`.
+    /// Returns the estimate and the number of tabulated entries.
+    fn estimate_tabulated(
+        &self,
+        table: &RtTable,
+        anon: &AnonTable,
+        hierarchies: &[Option<Hierarchy>],
+        tx_hierarchy: Option<&Hierarchy>,
+    ) -> (f64, usize) {
+        let mut entries = 0usize;
+        let atoms: Vec<Prepared> = self
+            .atoms
+            .iter()
+            .map(|atom| {
+                let QueryAtom::Rel { attr, values } = atom else {
+                    return Prepared::Row(atom);
+                };
+                let Some(c) = anon.rel.iter().position(|c| c.attr == *attr) else {
+                    return Prepared::Row(atom);
+                };
+                let (col, h) = (&anon.rel[c], hierarchies[c].as_ref());
+                let prob: Vec<f64> = col
+                    .domain
+                    .iter()
+                    .map(|entry| {
+                        let s = entry.leaf_count(h);
+                        if s == 0 {
+                            return 0.0;
+                        }
+                        let hits = values.iter().filter(|&&v| entry.covers(v, h)).count();
+                        hits as f64 / s as f64
+                    })
+                    .collect();
+                entries += prob.len();
+                Prepared::Table {
+                    cells: &col.cells,
+                    prob,
+                }
+            })
+            .collect();
+        let mut total = 0.0;
+        for row in 0..anon.n_rows {
+            let mut p = 1.0f64;
+            for atom in &atoms {
+                if p == 0.0 {
+                    break;
+                }
+                match atom {
+                    Prepared::Table { cells, prob } => p *= prob[cells[row] as usize],
+                    Prepared::Row(atom) => {
+                        apply_row_atom(atom, row, table, anon, tx_hierarchy, &mut p)
+                    }
+                }
+            }
+            total += p;
+        }
+        (total, entries)
+    }
+}
+
+/// One atom of a query prepared by [`Query::estimate_tabulated`].
+enum Prepared<'a> {
+    /// An anonymized relational attribute: `prob[e]` is the chance a
+    /// row whose cell is generalized value `e` matches (`hits / s`, or
+    /// 0.0 for a value covering nothing).
+    Table { cells: &'a [u32], prob: Vec<f64> },
+    /// Any other atom, evaluated from the row by [`apply_row_atom`].
+    Row(&'a QueryAtom),
+}
+
+/// Multiply `p` by the match probability of `row` under an atom that
+/// is answered per row: a relational attribute published unchanged
+/// (caller's check: absent from `anon.rel`) or the transaction
+/// attribute.
+fn apply_row_atom(
+    atom: &QueryAtom,
+    row: usize,
+    table: &RtTable,
+    anon: &AnonTable,
+    tx_hierarchy: Option<&Hierarchy>,
+    p: &mut f64,
+) {
+    match atom {
+        QueryAtom::Rel { attr, values } => {
+            // attribute published unchanged
+            let v = table.value(row, *attr).0;
+            if values.binary_search(&v).is_err() {
+                *p = 0.0;
+            }
+        }
+        QueryAtom::Items { items } => match &anon.tx {
+            Some(tx) => {
+                let row_items = tx.row_items(row);
+                let mult = tx.row_multiplicity(row);
+                for queried in items {
+                    if tx.suppressed.binary_search(queried).is_ok() {
+                        *p = 0.0;
+                        break;
+                    }
+                    // probability the queried item is among this row's
+                    // original items
+                    let mut pa = 0.0f64;
+                    for (pos, &g) in row_items.iter().enumerate() {
+                        let entry = &tx.domain[g as usize];
+                        if entry.covers(queried.0, tx_hierarchy) {
+                            let s = entry.leaf_count(tx_hierarchy).max(1);
+                            pa = (mult[pos] as f64 / s as f64).min(1.0);
+                            break;
+                        }
+                    }
+                    *p *= pa;
+                    if *p == 0.0 {
+                        break;
+                    }
+                }
+            }
+            None => {
+                // transaction attribute published unchanged
+                let tx_orig = table.transaction(row);
+                for it in items {
+                    if tx_orig.binary_search(it).is_err() {
+                        *p = 0.0;
+                        break;
+                    }
+                }
+            }
+        },
     }
 }
 
@@ -194,28 +289,45 @@ impl Workload {
 /// `|exact - estimate| / max(exact, 1)` averaged over queries; 0.0 for
 /// an empty workload.
 ///
+/// `rel_hierarchy` is called at most once per anonymized column of
+/// `anon.rel`, before any row is scanned. Each query's anonymized
+/// relational atoms are then tabulated over their column's generalized
+/// domain (see [`Query::estimate`] for the per-row oracle it matches
+/// bit for bit).
+///
 /// Queries are evaluated in parallel (each scans every row twice —
 /// exact count plus estimate — so a 25-query workload is 50 table
 /// scans); the per-query errors are then summed sequentially in query
 /// order, which keeps the result bit-identical to the sequential loop
-/// regardless of thread count.
+/// regardless of thread count. Publishes the `metrics/queries`,
+/// `metrics/are_rows` and `metrics/are_table_entries` counters to the
+/// calling thread's recorder.
 pub fn average_relative_error(
     table: &RtTable,
     anon: &AnonTable,
     workload: &Workload,
-    rel_hierarchy: impl Fn(usize) -> Option<Hierarchy> + Sync,
+    rel_hierarchy: impl Fn(usize) -> Option<Hierarchy>,
     tx_hierarchy: Option<&Hierarchy>,
 ) -> f64 {
     if workload.is_empty() {
         return 0.0;
     }
+    let hierarchies: Vec<Option<Hierarchy>> =
+        anon.rel.iter().map(|col| rel_hierarchy(col.attr)).collect();
     let errors = secreta_parallel::par_map_heavy(workload.len(), |i| {
         let q = &workload.queries[i];
         let exact = q.count(table) as f64;
-        let est = q.estimate(table, anon, &rel_hierarchy, tx_hierarchy);
-        (exact - est).abs() / exact.max(1.0)
+        let (est, entries) = q.estimate_tabulated(table, anon, &hierarchies, tx_hierarchy);
+        ((exact - est).abs() / exact.max(1.0), entries)
     });
-    errors.iter().sum::<f64>() / workload.len() as f64
+    let recorder = secreta_obsv::current();
+    recorder.count("metrics/queries", workload.len() as u64);
+    recorder.count("metrics/are_rows", (workload.len() * anon.n_rows) as u64);
+    recorder.count(
+        "metrics/are_table_entries",
+        errors.iter().map(|&(_, entries)| entries as u64).sum(),
+    );
+    errors.iter().map(|&(error, _)| error).sum::<f64>() / workload.len() as f64
 }
 
 /// Parse a workload in the Queries Editor file format: one query per
